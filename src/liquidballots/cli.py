@@ -64,7 +64,6 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         tolerance=args.tol,
         max_iterations=args.max_iters,
-        seed=args.seed,
         grid_resolution=args.grid_resolution,
     )
     report = solve(instance, cfg, strategy=args.strategy, start=args.start)
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="iterate-then-descent")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", choices=("defaults", "even-split"), default="defaults")
     p.add_argument("--grid-resolution", type=float, default=0.01)
     p.add_argument("--trace", metavar="CSV", help="write per-iteration residuals")

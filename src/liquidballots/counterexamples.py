@@ -28,6 +28,7 @@ import numpy as np
 from .io import InstanceSyntaxError, _format_number, instance_from_doc, instance_to_doc
 from .model import Bundle, ElectionInstance, Notion
 from .response import best_response, residual_norms
+from .solvers import initial_point
 
 SEARCH_KINDS = ("contraction-violation", "pseudo-mono-violation", "non-uniqueness")
 
@@ -194,19 +195,9 @@ class SearchFinding:
     attempt: int
 
 
-def _default_start(instance):
-    x = np.zeros((instance.n, instance.m))
-    for cell in instance._plan:
-        if cell.default is not None:
-            x[cell.voter, list(cell.cols)] = cell.default
-        elif cell.budget > 0.0:
-            x[cell.voter, list(cell.cols)] = cell.budget / len(cell.cols)
-    return x
-
-
 def _search_contraction(rng, instance, attempt, seed):
     xs = np.stack(
-        [_default_start(instance)]
+        [initial_point(instance, "defaults")]
         + [random_feasible_point(rng, instance) for _ in range(_POINT_PROBES)]
     )
     fx = best_response(xs, instance)
@@ -234,7 +225,7 @@ def _search_contraction(rng, instance, attempt, seed):
 def _distinct_fixed_points(rng, instance, tol=1e-6):
     """Multi-start iteration; returns converged points sorted by spread."""
     starts = np.stack(
-        [_default_start(instance)]
+        [initial_point(instance, "defaults")]
         + [random_feasible_point(rng, instance) for _ in range(_STARTS)]
     )
     xs, res = _iterate_batch(instance, starts, tol=1e-10)

@@ -28,6 +28,7 @@ the orderings it is indexed by.
 from __future__ import annotations
 
 import json
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -173,10 +174,15 @@ def parse_instance(text) -> ElectionInstance:
 
 
 def _format_number(value) -> str:
-    """Shortest decimal string that parses back to the same double."""
-    if value == int(value) and abs(value) < 1e16:
+    """Shortest decimal string that parses back to the same double.
+
+    Whole numbers below 1e16 print without a decimal point; non-finite
+    values print as ``nan``, ``inf`` and ``-inf``.
+    """
+    value = float(value)
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    return repr(float(value))
+    return repr(value)
 
 
 def instance_to_doc(instance) -> dict:

@@ -112,6 +112,28 @@ class _CompiledBundle:
     default: np.ndarray | None
 
 
+@dataclass(frozen=True, eq=False)
+class _BundleGroup:
+    """All bundles of one notion and one size ``k``, stacked for the kernels.
+
+    Row ``i`` of every array describes one bundle: ``voter`` and
+    ``delegate`` are ``(B, 1)`` row indices, ``cols`` is the ``(B, k)``
+    column table, ``budget``, ``weight`` and ``threshold`` are ``(B, 1)``.
+    ``default`` is ``(B, k)`` and holds the even split of the budget for
+    bundles without a default vector.  Indexing a matrix with
+    ``[voter, cols]`` gathers every bundle's own slice at once.
+    """
+
+    notion: Notion
+    voter: np.ndarray
+    delegate: np.ndarray
+    cols: np.ndarray
+    budget: np.ndarray
+    weight: np.ndarray
+    threshold: np.ndarray
+    default: np.ndarray
+
+
 @dataclass(frozen=True)
 class ElectionInstance:
     """An election with per-voter fine-grained cumulative delegations.
@@ -184,6 +206,39 @@ class ElectionInstance:
                     )
                 )
         return tuple(cells)
+
+    @cached_property
+    def _groups(self) -> tuple[_BundleGroup, ...]:
+        """The plan grouped by (notion, bundle size), for whole-matrix kernels.
+
+        DIRECT singletons form groups of their own, so their
+        ``(voter, cols, budget)`` arrays are the constant scatter of the
+        fixed cells.  Bundle order inside a group follows ``_plan``.
+        """
+        by_key: dict[tuple[Notion, int], list[_CompiledBundle]] = {}
+        for cell in self._plan:
+            by_key.setdefault((cell.notion, len(cell.cols)), []).append(cell)
+        groups = []
+        for (notion, k), cells in by_key.items():
+            # one contiguous (B, 1) column per field
+            rows = np.array([(c.voter, c.delegate) for c in cells]).T.copy()[:, :, None]
+            params = np.array([(c.budget, c.weight, c.threshold) for c in cells]).T.copy()
+            voter, delegate = rows
+            budget, weight, threshold = params[:, :, None]
+            defaults = [c.default if c.default is not None else [c.budget / k] * k for c in cells]
+            groups.append(
+                _BundleGroup(
+                    notion=notion,
+                    voter=voter,
+                    delegate=delegate,
+                    cols=np.concatenate([c.cols for c in cells]).reshape(-1, k),
+                    budget=budget,
+                    weight=weight,
+                    threshold=threshold,
+                    default=np.concatenate(defaults).reshape(-1, k),
+                )
+            )
+        return tuple(groups)
 
     @cached_property
     def free_dimensions(self) -> int:
@@ -376,10 +431,10 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
         return False
     if np.any(np.abs(x.sum(axis=1) - 1.0) > tol):
         return False
-    for cell in instance._plan:
-        if abs(x[cell.voter, cell.cols].sum() - cell.budget) > tol:
-            return False
-    return True
+    return not any(
+        np.any(np.abs(x[g.voter, g.cols].sum(axis=-1, keepdims=True) - g.budget) > tol)
+        for g in instance._groups
+    )
 
 
 def project_simplex(values, total) -> np.ndarray:
@@ -389,27 +444,37 @@ def project_simplex(values, total) -> np.ndarray:
     probability simplex.
     """
     v = np.asarray(values, dtype=float)
-    if total <= 0.0:
-        # {z >= 0, sum(z) = 0} is the single point 0
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - total
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > cssv)[0][-1]
-    theta = cssv[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return _project_rows(v[None], np.array([[total]], dtype=float))[0]
+
+
+def _project_rows(values, totals) -> np.ndarray:
+    """``project_simplex`` applied to every row of ``values`` ``(B, k)``.
+
+    ``totals`` is ``(B, 1)``.  Each row is sorted in decreasing order; the
+    threshold ``theta`` comes from the last prefix whose mean excess stays
+    below its smallest member.  A non-positive total admits only 0.
+    """
+    k = values.shape[-1]
+    u = np.sort(values, axis=-1)[:, ::-1]
+    cssv = np.cumsum(u, axis=-1) - totals
+    above = u * np.arange(1, k + 1) > cssv
+    rho = k - 1 - np.argmax(above[:, ::-1], axis=-1)[:, None]  # last True
+    theta = np.take_along_axis(cssv, rho, axis=-1) / (rho + 1.0)
+    return np.where(totals <= 0.0, 0.0, np.maximum(values - theta, 0.0))
 
 
 def project_to_feasible(instance, y) -> np.ndarray:
     """Project an arbitrary matrix onto the feasible set, bundle by bundle.
 
     Every bundle slice is projected in Euclidean distance onto the scaled
-    simplex ``{z >= 0, sum(z) = budget}``.  The operation is idempotent up
-    to floating-point noise and its output always passes ``is_feasible``.
+    simplex ``{z >= 0, sum(z) = budget}``; the bundles of each (notion,
+    size) group are projected together.  The operation is idempotent up to floating-point
+    noise and its output always passes ``is_feasible``.
     """
     y = _as_matrix(instance, y)
     if not np.all(np.isfinite(y)):
         raise ValueError("projection input must be finite")
-    out = np.empty_like(y)
-    for cell in instance._plan:
-        out[cell.voter, cell.cols] = project_simplex(y[cell.voter, cell.cols], cell.budget)
+    out = np.empty(y.shape)
+    for g in instance._groups:
+        out[g.voter, g.cols] = _project_rows(y[g.voter, g.cols], g.budget)
     return out

@@ -32,18 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .io import _format_number
 from .model import ElectionInstance, Notion
 
 _COMPARISONS = ("=", "<=", ">=", "<")
 _CONNECTIVES = ("and", "or", "=>")
-
-
-def _num(value) -> str:
-    """Shortest decimal literal that round-trips the double."""
-    value = float(value)
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
 
 
 def _render(node) -> str:
@@ -181,7 +174,7 @@ def export_qcqp(instance) -> ConstraintExport:
     for cell in instance._plan:
         members = [var(cell.voter, ci) for ci in cell.cols]
         poly = members[0] if len(members) == 1 else ("+", *members)
-        constraints.append(("bundle-sum", ("=", poly, _num(cell.budget))))
+        constraints.append(("bundle-sum", ("=", poly, _format_number(cell.budget))))
 
     for cell in instance._plan:
         if cell.notion is Notion.DIRECT or len(cell.cols) < 2:
@@ -198,8 +191,8 @@ def export_qcqp(instance) -> ConstraintExport:
                             ("ep", ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b])))
                         )
         elif cell.notion is Notion.WCC:
-            w = _num(cell.weight)
-            dsum = _num(float(cell.default.sum()))
+            w = _format_number(cell.weight)
+            dsum = _format_number(float(cell.default.sum()))
             norm = ("+", dsum, ("*", w, support))
             for a in range(len(own)):
                 constraints.append(
@@ -208,12 +201,16 @@ def export_qcqp(instance) -> ConstraintExport:
                         (
                             "=",
                             ("*", own[a], norm),
-                            ("*", ("+", _num(cell.default[a]), ("*", w, dlg[a])), _num(cell.budget)),
+                            (
+                                "*",
+                                ("+", _format_number(cell.default[a]), ("*", w, dlg[a])),
+                                _format_number(cell.budget),
+                            ),
                         ),
                     )
                 )
         elif cell.notion is Notion.EP_TI:
-            eps = ("/", "1", _num(cell.weight))
+            eps = ("/", "1", _format_number(cell.weight))
             pairs = [
                 ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b]))
                 for a in range(len(own))
@@ -224,12 +221,16 @@ def export_qcqp(instance) -> ConstraintExport:
                 ("epti-prop", ("=>", (">=", support, eps), ("and", *pairs)))
             )
             slack = ("-", eps, support)
-            norm = ("+", support, ("*", slack, _num(cell.budget)))
+            norm = ("+", support, ("*", slack, _format_number(cell.budget)))
             interp = [
                 (
                     "=",
                     ("*", own[a], norm),
-                    ("*", ("+", dlg[a], ("*", slack, _num(cell.default[a]))), _num(cell.budget)),
+                    (
+                        "*",
+                        ("+", dlg[a], ("*", slack, _format_number(cell.default[a]))),
+                        _format_number(cell.budget),
+                    ),
                 )
                 for a in range(len(own))
             ]

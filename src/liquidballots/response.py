@@ -14,9 +14,18 @@ EP-TI  thresholded with interpolation: as EP-T above the threshold, a
 WCC    weighted convex combination: always ``default + weight * delegate
        slice``, rescaled to the bundle budget.
 
-``best_response`` applies the per-bundle operator chosen by each bundle's
-notion and accepts stacked input ``(..., n, m)``, evaluating every matrix
-in the stack at once; the grid oracle relies on this.
+``best_response`` runs off the instance's grouped plan: all bundles that
+share a notion and a size ``k`` are one group, holding ``(B, 1)`` voter
+and delegate rows, a ``(B, k)`` column table and ``(B, 1)`` budgets,
+weights and thresholds.  Each group costs one fancy-indexed gather, one
+call of its notion kernel and one scatter, whatever the number of
+bundles; DIRECT singletons are one constant scatter.  Stacked input
+``(..., n, m)`` is evaluated in one pass, and the grid oracle relies on
+this.  The stack axis is walked in blocks of about ``_BLOCK`` gathered
+elements per group, so the kernel's temporaries stay small when a
+stack holds 100,000 matrices.  Every slice sum is a length-``k`` sum
+along the last axis, as in a per-bundle loop, so the results do not
+depend on the grouping.
 """
 
 from __future__ import annotations
@@ -26,6 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ElectionInstance, Bundle, Notion
+
+#: Gathered elements per block of the stack axis, per group.
+_BLOCK = 1 << 16
 
 
 def _proportional(delegate_slice, budget):
@@ -58,9 +70,11 @@ def _combined(delegate_slice, default, weight, budget):
 
 
 def _respond(cell, delegate_slice, current_slice):
-    """Dispatch one compiled bundle to its notion kernel.
+    """Dispatch a compiled bundle, or a group of them, to its notion kernel.
 
     Slices have shape ``(..., k)``; leading axes are evaluated together.
+    ``cell`` is one ``_CompiledBundle`` (scalar parameters) or one
+    ``_BundleGroup`` (``(B, 1)`` parameters, slices ``(..., B, k)``).
     """
     notion = cell.notion
     if notion is Notion.EP:
@@ -156,8 +170,9 @@ def best_response(x, instance) -> np.ndarray:
 
     Returns
     -------
-    array of the same shape.  For feasible input the output is feasible:
-    every bundle slice of the result has l1-norm equal to its budget.
+    C-contiguous array of the same shape.  For feasible input the output
+    is feasible: every bundle slice of the result has l1-norm equal to
+    its budget.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (instance.n, instance.m):
@@ -165,17 +180,23 @@ def best_response(x, instance) -> np.ndarray:
             f"solution shape {x.shape} does not match instance "
             f"({instance.n} voters, {instance.m} candidates)"
         )
-    out = np.empty_like(x)
-    for cell in instance._plan:
-        if cell.notion is Notion.DIRECT:
-            out[..., cell.voter, cell.cols] = cell.budget
-        else:
-            out[..., cell.voter, cell.cols] = _respond(
-                cell,
-                x[..., cell.delegate, cell.cols],
-                x[..., cell.voter, cell.cols],
+    stack = x.reshape((-1,) + x.shape[-2:])
+    out = np.empty(stack.shape)
+    for g in instance._groups:
+        if g.notion is Notion.DIRECT:
+            out[:, g.voter, g.cols] = g.budget
+            continue
+        # Blocks of at least two matrices keep the gathered slices laid out
+        # as in a per-bundle gather, stack axis innermost, which fixes the
+        # order of the slice sums (it matters from k = 8 on).
+        blocks = max(1, len(stack) // max(2, _BLOCK // g.cols.size))
+        bounds = [len(stack) * i // blocks for i in range(blocks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = stack[lo:hi]
+            out[lo:hi, g.voter, g.cols] = _respond(
+                g, block[:, g.delegate, g.cols], block[:, g.voter, g.cols]
             )
-    return out
+    return out.reshape(x.shape)
 
 
 def residual_norms(x, instance, fx=None) -> tuple[float, float]:

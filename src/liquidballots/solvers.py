@@ -26,8 +26,10 @@ from fractions import Fraction
 import numpy as np
 
 from .model import (
+    BUDGET_TOL,
     ElectionInstance,
     Notion,
+    is_feasible,
     project_to_feasible,
 )
 from .response import best_response, residual_norms
@@ -53,7 +55,6 @@ class SolverConfig:
 
     tolerance: float = 1e-6
     max_iterations: int = 10000
-    seed: int = 0
     grid_resolution: float = 0.01
     initial_step: float = 0.5
     shrink: float = 0.5
@@ -105,13 +106,13 @@ def initial_point(instance, mode="defaults") -> np.ndarray:
     if mode not in ("defaults", "even-split"):
         raise ValueError(f"unknown initial point mode {mode!r}")
     x = np.zeros((instance.n, instance.m))
-    for cell in instance._plan:
-        if cell.notion is Notion.DIRECT:
-            x[cell.voter, cell.cols] = cell.budget
-        elif mode == "defaults" and cell.default is not None:
-            x[cell.voter, cell.cols] = cell.default
+    for g in instance._groups:
+        if g.notion is Notion.DIRECT:
+            x[g.voter, g.cols] = g.budget
+        elif mode == "defaults":
+            x[g.voter, g.cols] = g.default
         else:
-            x[cell.voter, cell.cols] = cell.budget / len(cell.cols)
+            x[g.voter, g.cols] = g.budget / g.cols.shape[-1]
     return x
 
 
@@ -260,13 +261,15 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
     """Scan every feasible matrix on the rational grid.
 
     Each bundle slice of size k is enumerated as a composition of
-    ``round(budget / resolution)`` grid units into k cells, so slice sums
-    match budgets exactly.  The scan is complete: a grid point is a hit
-    iff its linf residual is at most ``cfg.tolerance``.
+    ``budget / resolution`` grid units into k cells, so slice sums match
+    budgets exactly.  The scan is complete: a grid point is a hit iff its
+    linf residual is at most ``cfg.tolerance``.
 
     Cost grows exponentially with the free dimensions, so instances with
     more than 8 of them (sum of bundle size minus one) are refused, as
-    are resolutions finer than 0.01.
+    are resolutions finer than 0.01 and delegated bundles whose budget is
+    not a whole number of grid units (within ``BUDGET_TOL``): no grid
+    point would be feasible for them.
     """
     free = instance.free_dimensions
     if free > 8:
@@ -277,6 +280,14 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
         raise ValueError("grid resolutions finer than 0.01 are not supported")
 
     res = cfg.grid_resolution
+    for voter, bundles in zip(instance.voters, instance.delegations):
+        for position, bundle in enumerate(bundles):
+            units = bundle.budget / res
+            if bundle.notion is not Notion.DIRECT and abs(units - round(units)) > BUDGET_TOL:
+                raise ValueError(
+                    f"voter {voter!r} bundle {position}: budget {bundle.budget!r} "
+                    f"is not a multiple of the grid resolution {res!r}"
+                )
     base = np.zeros((instance.n, instance.m))
     enumerated = []  # (cell, value table (count rows scaled by resolution))
     for cell in instance._plan:
@@ -303,8 +314,9 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
         for (cell, values), radix in zip(reversed(enumerated), reversed(radices)):
             digits, digit = np.divmod(digits, radix)
             xs[:, cell.voter, cell.cols] = values[digit]
-        diff = best_response(xs, instance) - xs
-        residuals = np.abs(diff).max(axis=(1, 2))
+        diff = best_response(xs, instance)
+        diff -= xs
+        residuals = np.abs(diff, out=diff).max(axis=(1, 2))
 
         for i in np.nonzero(residuals <= cfg.tolerance)[0]:
             hits.append((xs[i].copy(), float(residuals[i])))
@@ -334,8 +346,16 @@ def solve(instance, cfg=SolverConfig(), strategy="iterate-then-descent", start="
     converge and every notion is continuous, continues with residual
     descent from the best iterate.  ``grid`` wraps the grid oracle,
     reporting ``"oracle-exhausted-no-point"`` when the whole grid holds
-    no point within tolerance.
+    no point within tolerance.  Every reported solution is feasible; an
+    infeasible one raises ``AssertionError``.
     """
+    report = _dispatch(instance, cfg, strategy, start)
+    if not is_feasible(instance, report.solution):
+        raise AssertionError(f"strategy {strategy!r} reported an infeasible solution")
+    return report
+
+
+def _dispatch(instance, cfg, strategy, start) -> SolveReport:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -18,6 +18,7 @@ from liquidballots import (
     serialize_solution,
     trace_csv,
 )
+from liquidballots.io import _format_number
 
 
 def test_parse_crossed_fixture_files(fixture_path):
@@ -127,3 +128,21 @@ def test_trace_csv_layout():
         "0,1.0,0.5\n"
         "1,0.25,0.125\n"
     )
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (-np.inf, "-inf"),
+        (np.float64("nan"), "nan"),
+        (3.0, "3"),
+        (-0.0, "0"),
+        (0.1, "0.1"),
+        (1e16, "1e+16"),
+        (np.float64(2.5), "2.5"),
+    ],
+)
+def test_format_number_handles_non_finite_values(value, text):
+    assert _format_number(value) == text

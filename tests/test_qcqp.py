@@ -1,5 +1,6 @@
 """Polynomial constraint export and numeric substitution."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,8 @@ from liquidballots import (
     SolverConfig,
     export_qcqp,
     fixtures,
+    load_finding,
+    parse_instance,
     solve,
 )
 
@@ -119,3 +122,23 @@ def test_interpolation_branch_constraint_detects_drift():
     drifted[0, 1] -= 0.01
     kinds = {line.split(":")[0] for line in export.violations(drifted, tol=1e-6)}
     assert "epti-interp" in kinds
+
+
+#: sha256 of ``export_qcqp(...).text`` for the continuous fixture files.
+EXPORT_DIGESTS = {
+    "contraction-violation.json": "a6bf83b5d009e2b7f5e3a478aa30ca693aaf1a63a7544af2e3dd5afd225f0d89",
+    "crossed-epti.json": "6410ddfe1370901687b80b945644ef622cee68ebdd9ca2f8f7ab6308c0aa5965",
+    "non-uniqueness.json": "75b6f0c91cd0552079f207dc2c55bdce731926d134a5a70bc567b49259b790bb",
+    "pseudo-mono-violation.json": "5fe6fab638133478d511aad9e71d6f02ab8e1b843eda90d067f38c8aa9d465ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_text_of_fixtures_is_unchanged(fixture_path, name):
+    text = (fixture_path / name).read_text()
+    if name == "crossed-epti.json":
+        instance = parse_instance(text)
+    else:
+        instance = load_finding(fixture_path / name).instance
+    digest = hashlib.sha256(export_qcqp(instance).text.encode("utf-8")).hexdigest()
+    assert digest == EXPORT_DIGESTS[name]

@@ -8,14 +8,17 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from liquidballots import (
     Notion,
+    SolveReport,
     SolverConfig,
     best_response,
     fixtures,
     grid_oracle,
     initial_point,
+    is_feasible,
     residual_descent,
     simple_iteration,
     solve,
+    solvers,
 )
 from liquidballots.model import Bundle, ElectionInstance
 
@@ -242,3 +245,37 @@ def test_solve_runs_are_bit_reproducible():
     assert a.status == b.status and a.iterations == b.iterations
     assert_array_equal(a.solution, b.solution)
     assert a.trajectory == b.trajectory
+
+
+def off_grid_wcc():
+    """v's WCC bundle has budget 0.333, which is not on a 0.01 grid."""
+    v_row = (
+        Bundle(("c1", "c2"), 0.333, "u", Notion.WCC, weight=10.0, default=(0.333, 0.0)),
+        Bundle(("c3",), 0.667, "v", Notion.DIRECT),
+    )
+    u_row = tuple(
+        Bundle((c,), b, "u", Notion.DIRECT) for c, b in zip(("c1", "c2", "c3"), (0.5, 0.5, 0.0))
+    )
+    return ElectionInstance(("c1", "c2", "c3"), ("v", "u"), (v_row, u_row))
+
+
+def test_grid_refuses_budgets_off_the_grid():
+    # scanned as slices summing to 0.33, the grid used to report an
+    # infeasible "converged" point
+    cfg = SolverConfig(tolerance=0.01, grid_resolution=0.01)
+    with pytest.raises(ValueError, match="voter 'v' bundle 0: budget 0.333"):
+        grid_oracle(off_grid_wcc(), cfg)
+    with pytest.raises(ValueError, match="not a multiple of the grid resolution"):
+        solve(off_grid_wcc(), cfg, strategy="grid")
+    rep = solve(off_grid_wcc(), SolverConfig(tolerance=1e-9), strategy="iterate")
+    assert rep.status == "converged"
+    assert is_feasible(off_grid_wcc(), rep.solution)
+
+
+def test_solve_refuses_to_report_an_infeasible_point(monkeypatch):
+    def broken(instance, x0, cfg):
+        return SolveReport("converged", np.zeros((instance.n, instance.m)), 0.0, 0.0, (), 0)
+
+    monkeypatch.setattr(solvers, "simple_iteration", broken)
+    with pytest.raises(AssertionError, match="infeasible"):
+        solve(EPTI, strategy="iterate")
