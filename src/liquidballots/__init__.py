@@ -59,12 +59,8 @@ from .model import (
 from .qcqp import ConstraintExport, export_qcqp
 from .response import (
     RegretReport,
-    batch_linf_residuals,
     best_response,
-    br_ep,
-    br_ept,
-    br_epti,
-    br_wcc,
+    bundle_response,
     regret,
     residual_norms,
 )
@@ -105,12 +101,8 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "WCC_SENSITIVITY_SOLUTIONS",
-    "batch_linf_residuals",
     "best_response",
-    "br_ep",
-    "br_ept",
-    "br_epti",
-    "br_wcc",
+    "bundle_response",
     "check_contraction_violation",
     "check_nonuniqueness",
     "check_pseudomono_violation",

@@ -32,7 +32,7 @@ from .io import (
 )
 from .model import InvalidInstanceError, Notion, is_feasible
 from .qcqp import export_qcqp
-from .response import regret, residual_norms
+from .response import regret
 from .solvers import STRATEGIES, SolverConfig, grid_oracle, initial_point, simple_iteration, solve
 
 

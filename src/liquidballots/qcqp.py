@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .io import _format_number
-from .model import ElectionInstance, Notion
+from .model import Notion
 
 _COMPARISONS = ("=", "<=", ">=", "<")
 _CONNECTIVES = ("and", "or", "=>")

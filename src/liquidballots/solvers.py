@@ -27,7 +27,6 @@ import numpy as np
 
 from .model import (
     BUDGET_TOL,
-    ElectionInstance,
     Notion,
     is_feasible,
     project_to_feasible,
@@ -37,10 +36,13 @@ from .response import best_response, residual_norms
 #: Central-difference step for residual_descent gradients.
 FD_STEP = 1e-6
 
+#: First trial step of each descent line search, and the factor that
+#: backtracking multiplies it by.
+_FIRST_STEP = 0.5
+_BACKTRACK = 0.5
+
 #: Matrices evaluated per vectorized chunk of the grid scan.
 _GRID_CHUNK = 100_000
-
-_STATUSES = ("converged", "max-iterations", "oracle-exhausted-no-point")
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,12 @@ class SolverConfig:
 
     ``tolerance`` is the linf residual below which a point counts as a
     (weak approximate) fixed point.  ``grid_resolution`` must divide 1
-    exactly as a rational step, e.g. 0.01 or 0.05.  ``initial_step`` and
-    ``shrink`` parameterize the descent backtracking line search.
+    exactly as a rational step, e.g. 0.01 or 0.05.
     """
 
     tolerance: float = 1e-6
     max_iterations: int = 10000
     grid_resolution: float = 0.01
-    initial_step: float = 0.5
-    shrink: float = 0.5
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -71,10 +70,6 @@ class SolverConfig:
             raise ValueError(
                 f"grid_resolution {self.grid_resolution!r} does not divide 1 exactly"
             )
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +184,7 @@ def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
     loss = _squared_residuals(x[None], instance)[0]
     while iterations < cfg.max_iterations:
         grad = _fd_gradient(x, instance)
-        step = cfg.initial_step
+        step = _FIRST_STEP
         candidate = None
         while step > 1e-14:
             y = project_to_feasible(instance, x - step * grad)
@@ -197,7 +192,7 @@ def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
             if y_loss < loss:
                 candidate = (y, y_loss)
                 break
-            step *= cfg.shrink
+            step *= _BACKTRACK
         if candidate is None:  # step underflowed without progress
             break
         x, loss = candidate

@@ -18,7 +18,7 @@ from liquidballots import (
     Notion,
     SolverConfig,
     best_response,
-    br_ep,
+    bundle_response,
     check_contraction_violation,
     check_nonuniqueness,
     check_pseudomono_violation,
@@ -57,7 +57,7 @@ def test_criterion_01_ep_worked_delegation():
     )
     inst = ElectionInstance(("c1", "c2", "c3"), ("v", "u"), (v_bundles, u_bundles))
     x = initial_point(inst, "defaults")
-    assert_allclose(br_ep(x, inst, "v", 0), [0.1, 0.2], atol=1e-12)
+    assert_allclose(bundle_response(x, inst, "v", 0), [0.1, 0.2], atol=1e-12)
     passed(1, "EP response to delegate slice [0.2, 0.4] at budget 0.3 is [0.1, 0.2]")
 
 

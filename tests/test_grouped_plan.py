@@ -6,7 +6,8 @@ record per (notion, bundle size).  The loops below walk ``_plan`` one
 bundle at a time, as these functions did before the grouping, and
 ``reference_project_simplex`` is the one-dimensional projection that
 ``project_simplex`` used to be; they are the references, and the grouped
-code must match them bit for bit.
+code must match them bit for bit.  ``bundle_response`` reads one
+bundle's cells off the same map and must match them too.
 """
 
 from unittest import mock
@@ -14,13 +15,14 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_array_equal, assert_array_max_ulp
 
 from liquidballots import (
     Bundle,
     ElectionInstance,
     Notion,
     best_response,
+    bundle_response,
     fixtures,
     initial_point,
     is_feasible,
@@ -193,7 +195,16 @@ def test_best_response_matches_per_bundle_loop(seed, n, m, stack, layout, block)
         got = best_response(x, instance)
     assert got.shape == x.shape
     assert got.flags.c_contiguous
-    assert_array_equal(got, reference_best_response(xs, instance))
+    expected = reference_best_response(xs, instance)
+    assert_array_equal(got, expected)
+    for voter, bundles in zip(instance.voters, instance.delegations):
+        row = instance.voter_index[voter]
+        for position, bundle in enumerate(bundles):
+            if bundle.notion is Notion.DIRECT:
+                continue
+            cols = [instance.candidate_index[c] for c in bundle.members]
+            query = bundle if position % 2 else position
+            assert_array_equal(bundle_response(x, instance, voter, query), expected[..., row, cols])
 
 
 def test_best_response_walks_a_stack_of_several_blocks():
@@ -203,6 +214,28 @@ def test_best_response_walks_a_stack_of_several_blocks():
     rng = np.random.default_rng(3)
     xs = probe_matrices(rng, instance, count)
     assert_array_equal(best_response(xs, instance), reference_best_response(xs, instance))
+
+
+def test_stacked_and_single_input_agree():
+    """``best_response(xs)[i]`` against ``best_response(xs[i])``.
+
+    Cells of bundles with fewer than 8 members agree bit for bit.  From 8
+    members on, a stack's gathered slices are summed left to right and a
+    single matrix's pairwise, so their last bits may differ by a few ulps.
+    """
+    rng = np.random.default_rng(1)
+    for m in range(1, 14):
+        for _ in range(20):
+            instance = mixed_instance(rng, int(rng.integers(2, 6)), m)
+            small = np.zeros((instance.n, m), dtype=bool)
+            for cell in instance._plan:
+                small[cell.voter, cell.cols] = len(cell.cols) < 8
+            xs = probe_matrices(rng, instance, 5)
+            stacked = best_response(xs, instance)
+            for x, got in zip(xs, stacked):
+                single = best_response(x, instance)
+                assert_array_equal(got[small], single[small])
+                assert_array_max_ulp(got, single, maxulp=4)
 
 
 @settings(deadline=None, max_examples=60)

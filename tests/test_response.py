@@ -10,12 +10,8 @@ from liquidballots import (
     Bundle,
     ElectionInstance,
     Notion,
-    batch_linf_residuals,
     best_response,
-    br_ep,
-    br_ept,
-    br_epti,
-    br_wcc,
+    bundle_response,
     fixtures,
     initial_point,
     is_feasible,
@@ -43,19 +39,19 @@ def two_voter_ep(u_row):
 def test_ep_copies_delegate_ratios():
     inst = two_voter_ep((0.2, 0.4, 0.4))
     x = np.array([[0.0, 0.3, 0.7], [0.2, 0.4, 0.4]])
-    assert_allclose(br_ep(x, inst, "v", 0), [0.1, 0.2])
+    assert_allclose(bundle_response(x, inst, "v", 0), [0.1, 0.2])
 
 
 def test_ep_zero_support_keeps_current_slice():
     inst = two_voter_ep((0.0, 0.0, 1.0))
     x = np.array([[0.25, 0.05, 0.7], [0.0, 0.0, 1.0]])
-    assert_array_equal(br_ep(x, inst, "v", 0), [0.25, 0.05])
+    assert_array_equal(bundle_response(x, inst, "v", 0), [0.25, 0.05])
 
 
 def test_ep_tiny_support_forces_corner():
     inst = fixtures.example_ep()
     x = initial_point(inst, "defaults")
-    assert_allclose(br_ep(x, inst, "v", 0), [1.0, 0.0])
+    assert_allclose(bundle_response(x, inst, "v", 0), [1.0, 0.0])
     fx = best_response(x, inst)
     assert_allclose(fx[0], [1.0, 0.0, 0.0])
     assert_allclose(fx[1], [0.001, 0.0, 0.999])
@@ -68,7 +64,7 @@ def test_ep_tiny_support_forces_corner():
 def test_ept_threshold_is_inclusive(support, expected):
     inst = fixtures.high_confidence(Notion.EP_T, support)
     x = initial_point(inst, "defaults")
-    assert_allclose(br_ept(x, inst, "v", 0), expected, atol=1e-15)
+    assert_allclose(bundle_response(x, inst, "v", 0), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -78,7 +74,7 @@ def test_ept_threshold_is_inclusive(support, expected):
 def test_epti_interpolates_below_threshold(support, expected):
     inst = fixtures.high_confidence(Notion.EP_TI, support)
     x = initial_point(inst, "defaults")
-    assert_allclose(br_epti(x, inst, "v", 0), expected, atol=1e-15)
+    assert_allclose(bundle_response(x, inst, "v", 0), expected, atol=1e-15)
 
 
 def test_epti_on_crossed_solution_slice():
@@ -89,7 +85,7 @@ def test_epti_on_crossed_solution_slice():
         ]
     )
     # u's {c3, c4} slice sums to 0.60846 < 0.8, so v's second bundle blends
-    assert_allclose(br_epti(x, CROSSED, "v", 1), [0.423, 0.077], atol=1e-3)
+    assert_allclose(bundle_response(x, CROSSED, "v", 1), [0.423, 0.077], atol=1e-3)
     fx = best_response(x, CROSSED)
     assert np.abs(fx - x).max() < 1e-7
 
@@ -120,24 +116,26 @@ def test_epti_branches_agree_at_threshold(raw, budget, scale):
 def test_wcc_blends_default_and_delegate(support, expected):
     inst = fixtures.high_confidence(Notion.WCC, support)
     x = initial_point(inst, "defaults")
-    assert_allclose(br_wcc(x, inst, "v", 0), expected)
+    assert_allclose(bundle_response(x, inst, "v", 0), expected)
 
 
 def test_wcc_zero_delegate_slice_returns_default():
     inst = fixtures.high_confidence(Notion.WCC, 0.0)
     x = initial_point(inst, "defaults")
-    assert_allclose(br_wcc(x, inst, "v", 0), [0.0, 1.0])
+    assert_allclose(bundle_response(x, inst, "v", 0), [0.0, 1.0])
 
 
-def test_bundle_lookup_by_object_index_and_notion_guard():
+def test_bundle_lookup_by_object_and_index():
     inst = fixtures.high_confidence(Notion.WCC, 0.015)
     x = initial_point(inst, "defaults")
-    by_object = br_wcc(x, inst, "v", inst.bundles_of("v")[0])
-    assert_array_equal(by_object, br_wcc(x, inst, "v", 0))
-    with pytest.raises(ValueError, match="notion"):
-        br_ep(x, inst, "v", 0)
-    with pytest.raises(IndexError):
-        br_wcc(x, inst, "v", 7)
+    by_object = bundle_response(x, inst, "v", inst.bundles_of("v")[0])
+    assert_array_equal(by_object, bundle_response(x, inst, "v", 0))
+    for position in (7, -1):
+        with pytest.raises(IndexError):
+            bundle_response(x, inst, "v", position)
+    foreign = inst.bundles_of("u")[0]
+    with pytest.raises(ValueError, match="not a bundle of voter 'v'"):
+        bundle_response(x, inst, "v", foreign)
 
 
 def test_best_response_rejects_wrong_shape():
@@ -171,13 +169,10 @@ def test_best_response_preserves_feasibility():
             assert is_feasible(instance, best_response(x, instance), tol=1e-9)
 
 
-def test_residual_norms_and_batch_agree():
+def test_residual_linf_is_at_most_l1():
     x = initial_point(CROSSED, "even-split")
     l1, linf = residual_norms(x, CROSSED)
     assert linf <= l1
-    batch = batch_linf_residuals(x[None], CROSSED)
-    assert batch.shape == (1,)
-    assert batch[0] == linf
 
 
 def test_residuals_vanish_at_fixed_point():

@@ -38,8 +38,6 @@ def test_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="divide 1"):
         SolverConfig(grid_resolution=0.03)
-    with pytest.raises(ValueError, match="shrink"):
-        SolverConfig(shrink=1.0)
     SolverConfig(grid_resolution=0.02)  # 50 steps, fine
 
 
