@@ -16,6 +16,7 @@ solution found, verification failure), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,6 +35,14 @@ from .model import InvalidInstanceError, Notion, is_feasible
 from .qcqp import export_qcqp
 from .response import regret
 from .solvers import STRATEGIES, SolverConfig, grid_oracle, initial_point, simple_iteration, solve
+
+
+def _tolerance(text):
+    """argparse type of ``--tol``: a finite, non-negative float."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return value
 
 
 def _read_instance(path):
@@ -226,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="search for a fixed point of the response map")
     p.add_argument("file")
     p.add_argument("--strategy", choices=STRATEGIES, default="iterate-then-descent")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--max-iters", type=int, default=10000)
     p.add_argument("--start", choices=("defaults", "even-split"), default="defaults")
     p.add_argument("--grid-resolution", type=float, default=0.01)
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a solution file")
     p.add_argument("file")
     p.add_argument("solution")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_tolerance, default=1e-3)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("export-qcqp", help="print the polynomial constraint system")

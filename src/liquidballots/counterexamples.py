@@ -157,18 +157,32 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
     return ElectionInstance(candidates, voters, tuple(delegations))
 
 
-def random_feasible_point(rng, instance):
-    """Uniform-ish feasible matrix: a flat Dirichlet draw per bundle."""
-    x = np.zeros((instance.n, instance.m))
+def random_feasible_point(rng, instance, size=None):
+    """Uniform-ish feasible matrices: a flat Dirichlet draw per bundle.
+
+    ``size=None`` returns one ``(n, m)`` matrix, ``size=N`` a stack of
+    ``N`` of them, ``(N, n, m)``.  All draws come from one
+    ``rng.standard_gamma(1.0, ...)`` call, matrix by matrix and bundle by
+    bundle in plan order, normalised as ``Generator.dirichlet`` does:
+    the gammas summed left to right, scaled by the reciprocal of the sum,
+    then by the budget.  The result and the generator's state afterwards
+    equal those of one ``rng.dirichlet(np.ones(k))`` call per bundle of
+    ``k >= 2`` members and positive budget, repeated ``N`` times.
+    """
+    count = 1 if size is None else size
+    drawn = [c for c in instance._plan if c.budget > 0.0 and len(c.cols) > 1]
+    gammas = rng.standard_gamma(1.0, size=(count, sum(len(c.cols) for c in drawn)))
+    x = np.zeros((count, instance.n, instance.m))
     for cell in instance._plan:
-        k = len(cell.cols)
-        if cell.budget <= 0.0:
-            continue
-        if k == 1:
-            x[cell.voter, cell.cols[0]] = cell.budget
-        else:
-            x[cell.voter, list(cell.cols)] = cell.budget * rng.dirichlet(np.ones(k))
-    return x
+        if cell.budget > 0.0 and len(cell.cols) == 1:
+            x[:, cell.voter, cell.cols[0]] = cell.budget
+    start = 0
+    for cell in drawn:
+        g = gammas[:, start : start + len(cell.cols)]
+        start += len(cell.cols)
+        acc = np.cumsum(g, axis=-1)[:, -1:]  # left to right, as dirichlet sums
+        x[:, cell.voter, cell.cols] = cell.budget * (g * (1.0 / acc))
+    return x[0] if size is None else x
 
 
 def _iterate_batch(instance, xs, tol=1e-9, iterations=3000):
@@ -196,10 +210,8 @@ class SearchFinding:
 
 
 def _search_contraction(rng, instance, attempt, seed):
-    xs = np.stack(
-        [initial_point(instance, "defaults")]
-        + [random_feasible_point(rng, instance) for _ in range(_POINT_PROBES)]
-    )
+    probes = random_feasible_point(rng, instance, _POINT_PROBES)
+    xs = np.concatenate([initial_point(instance, "defaults")[None], probes])
     fx = best_response(xs, instance)
     ffx = best_response(fx, instance)
     rhs = np.abs(xs - fx).sum(axis=(-2, -1))
@@ -224,10 +236,8 @@ def _search_contraction(rng, instance, attempt, seed):
 
 def _distinct_fixed_points(rng, instance, tol=1e-6):
     """Multi-start iteration; returns converged points sorted by spread."""
-    starts = np.stack(
-        [initial_point(instance, "defaults")]
-        + [random_feasible_point(rng, instance) for _ in range(_STARTS)]
-    )
+    starts = random_feasible_point(rng, instance, _STARTS)
+    starts = np.concatenate([initial_point(instance, "defaults")[None], starts])
     xs, res = _iterate_batch(instance, starts, tol=1e-10)
     return xs[res <= tol]
 
@@ -264,7 +274,7 @@ def _search_pseudomono(rng, instance, attempt, seed):
     if len(points) == 0:
         return None
     x = points[0]
-    probes = [random_feasible_point(rng, instance) for _ in range(_POINT_PROBES)]
+    probes = list(random_feasible_point(rng, instance, _POINT_PROBES))
     # other fixed points, nudged, are the most promising probes
     for other in points[1:]:
         probes.append(other)

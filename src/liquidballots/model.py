@@ -422,8 +422,11 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
 
     Checks, all with absolute tolerance ``tol``: entries in [0, 1], every
     row sums to 1, and every bundle slice sums to the bundle budget.
-    Raises ``ValueError`` on a dimension mismatch.
+    Raises ``ValueError`` on a dimension mismatch and on a tolerance that
+    is negative or not finite (a NaN tolerance would pass any matrix).
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     x = _as_matrix(instance, x)
     if not np.all(np.isfinite(x)):
         return False

@@ -5,8 +5,8 @@ Three ways to hunt for a point with small residual ``f(x) - x``:
 * ``simple_iteration``: repeatedly replace the solution by its best
   response.  Cheap, but the map need not be a contraction, so it can
   cycle or drift.
-* ``residual_descent``: treat the squared residual as a loss, follow a
-  finite-difference gradient, and re-project onto the feasible set after
+* ``residual_descent``: treat the squared residual as a loss, follow its
+  exact bundle-local gradient, and re-project onto the feasible set after
   every step.  Requires every notion to be continuous (no EP-T).
 * ``grid_oracle``: exhaustively scan all feasible matrices whose bundle
   slices lie on a rational grid.  Exponential in the free dimensions but
@@ -32,9 +32,6 @@ from .model import (
     project_to_feasible,
 )
 from .response import best_response, residual_norms
-
-#: Central-difference step for residual_descent gradients.
-FD_STEP = 1e-6
 
 #: First trial step of each descent line search, and the factor that
 #: backtracking multiplies it by.
@@ -142,28 +139,67 @@ def simple_iteration(instance, x0, cfg=SolverConfig()) -> SolveReport:
         iterations += 1
 
 
-def _squared_residuals(xs, instance) -> np.ndarray:
-    fxs = best_response(xs, instance)
-    return ((fxs - xs) ** 2).sum(axis=(-2, -1))
+def _residual_gradient(x, instance, fx) -> np.ndarray:
+    """Exact gradient of ``||f(x) - x||_2^2`` at ``x``, bundle by bundle.
 
+    ``fx`` is ``best_response(x, instance)``.  The gradient is
+    ``2 (J_f^T r - r)`` with ``r = fx - x``.  Every bundle response is
+    the rescaling ``z -> z / sum(z) * budget`` of a vector ``z`` that
+    depends on the delegate's slice ``y`` alone, so ``J_f^T r`` is one
+    gather and one scatter-add per group: the rescaling's vector-Jacobian
+    product ``budget / s * (u - (z . u) / s)``, with ``s = sum(z)`` and
+    ``u`` the bundle's cells of ``r``, pulled back through ``z(y)``.
+    DIRECT cells are constant and contribute nothing.
 
-def _fd_gradient(x, instance, h=FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of the squared l2 residual."""
-    n, m = x.shape
-    basis = np.eye(n * m).reshape(n * m, n, m) * h
-    batch = np.concatenate([x[None] + basis, x[None] - basis])
-    values = _squared_residuals(batch, instance)
-    return ((values[: n * m] - values[n * m :]) / (2.0 * h)).reshape(n, m)
+    At the two kinks of the map the derivative is the one-sided one of
+    the branch that ``best_response`` takes.  An EP bundle whose delegate
+    gives it nothing keeps the voter's own slice, so its residual ``u`` is
+    0 and it pulls nothing back onto the delegate's slice: the derivative
+    from below, where the support stays zero.  An EP-TI bundle exactly at
+    its threshold is on the proportional branch: the derivative from
+    above.  EP-T is refused by the caller.
+    """
+    r = fx - x
+    pulled = np.zeros_like(x)  # J_f^T r
+    for g in instance._groups:
+        if g.notion is Notion.DIRECT:
+            continue
+        y = x[g.delegate, g.cols]
+        u = r[g.voter, g.cols]
+        if g.notion is Notion.WCC:
+            z = g.default + g.weight * y
+        elif g.notion is Notion.EP_TI:
+            nu = y.sum(axis=-1, keepdims=True)
+            below = nu < g.threshold
+            z = np.where(below, y + (g.threshold - nu) * g.default, y)
+        elif g.notion is Notion.EP:
+            # with zero support f keeps the voter's slice, so u = 0 and w = 0
+            z = y
+        else:
+            raise AssertionError(f"no gradient for notion {g.notion}")
+        s = z.sum(axis=-1, keepdims=True)
+        safe = np.where(s != 0.0, s, 1.0)
+        w = g.budget / safe * (u - (z * u).sum(axis=-1, keepdims=True) / safe)
+        if g.notion is Notion.WCC:
+            w *= g.weight
+        elif g.notion is Notion.EP_TI:
+            w -= np.where(below, (g.default * w).sum(axis=-1, keepdims=True), 0.0)
+        # delegates repeat inside a group, so the scatter must accumulate
+        np.add.at(pulled, (g.delegate, g.cols), w)
+    return 2.0 * (pulled - r)
 
 
 def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
-    """Minimize the squared residual by projected finite-difference descent.
+    """Minimize the squared residual by projected gradient descent.
 
-    Each iteration estimates the gradient of ``||f(x) - x||_2^2`` by
-    central differences, steps against it, and projects the result back
-    onto the feasible set.  Backtracking halves the step until the loss
-    decreases; if the step underflows before any decrease, the run stops
-    early with status ``"max-iterations"``.
+    Each iteration takes the exact bundle-local gradient of
+    ``||f(x) - x||_2^2`` (see ``_residual_gradient``), steps against it,
+    and projects the result back onto the feasible set.  Backtracking
+    halves the step until the loss decreases; if the step underflows
+    before any decrease, the run stops early with status
+    ``"max-iterations"``.  Each trial point costs one ``best_response``,
+    and the accepted trial's response serves the residual norms, the
+    loss and the next gradient.
 
     EP-T bundles are refused: the loss is discontinuous there and the
     gradient step would be meaningless.
@@ -174,30 +210,32 @@ def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
 
     x = np.array(x0, dtype=float)
     trajectory = []
-    l1, linf = residual_norms(x, instance)
+    fx = best_response(x, instance)
+    l1, linf = residual_norms(x, instance, fx=fx)
     trajectory.append((l1, linf))
     best, best_l1, best_linf = x, l1, linf
     iterations = 0
     if linf <= cfg.tolerance:
         return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
 
-    loss = _squared_residuals(x[None], instance)[0]
+    loss = ((fx - x) ** 2).sum()
     while iterations < cfg.max_iterations:
-        grad = _fd_gradient(x, instance)
+        grad = _residual_gradient(x, instance, fx)
         step = _FIRST_STEP
         candidate = None
         while step > 1e-14:
             y = project_to_feasible(instance, x - step * grad)
-            y_loss = _squared_residuals(y[None], instance)[0]
+            fy = best_response(y, instance)
+            y_loss = ((fy - y) ** 2).sum()
             if y_loss < loss:
-                candidate = (y, y_loss)
+                candidate = (y, fy, y_loss)
                 break
             step *= _BACKTRACK
         if candidate is None:  # step underflowed without progress
             break
-        x, loss = candidate
+        x, fx, loss = candidate
         iterations += 1
-        l1, linf = residual_norms(x, instance)
+        l1, linf = residual_norms(x, instance, fx=fx)
         trajectory.append((l1, linf))
         if linf < best_linf:
             best, best_l1, best_linf = x, l1, linf

@@ -112,6 +112,19 @@ def test_verify_accepts_solved_and_rejects_unsolved(tmp_path, epti_file, capsys)
     assert "feasible: no" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, epti_file, capsys, tol):
+    inst = fixtures.crossed_thresholds(Notion.EP_TI)
+    fives = tmp_path / "fives.json"
+    fives.write_text(serialize_solution(inst, np.full((2, 4), 5.0)))
+    assert run_cli(["verify", epti_file, str(fives), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be finite and non-negative" in captured.err
+    assert "accepted" not in captured.out
+    assert run_cli(["solve", epti_file, "--tol", tol]) == 2
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_export_qcqp_prints_or_refuses(epti_file, ept_file, capsys):
     assert run_cli(["export-qcqp", epti_file]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
+from test_grouped_plan import mixed_instance
 
 from liquidballots import (
     Notion,
@@ -68,6 +71,42 @@ def test_random_instances_are_valid_and_deterministic():
             assert inst == again
             point = random_feasible_point(np.random.default_rng(seed), inst)
             assert is_feasible(inst, point, tol=1e-9)
+
+
+def reference_random_feasible_point(rng, instance):
+    """One ``rng.dirichlet`` call per bundle: the draw the batched one must equal."""
+    x = np.zeros((instance.n, instance.m))
+    for cell in instance._plan:
+        k = len(cell.cols)
+        if cell.budget <= 0.0:
+            continue
+        if k == 1:
+            x[cell.voter, cell.cols[0]] = cell.budget
+        else:
+            x[cell.voter, list(cell.cols)] = cell.budget * rng.dirichlet(np.ones(k))
+    return x
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    m=st.integers(1, 21),
+    mixed=st.booleans(),
+    size=st.sampled_from([None, 0, 1, 6]),
+)
+def test_random_feasible_point_matches_per_bundle_dirichlet(seed, n, m, mixed, size):
+    rng = np.random.default_rng(seed)
+    if mixed and n > 1:
+        instance = mixed_instance(rng, n, min(m, 20))
+    else:
+        instance = random_wcc_instance(rng, n, m, default_mode="random")
+    batched, looped = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = random_feasible_point(batched, instance, size)
+    count = 1 if size is None else size
+    expected = np.array([reference_random_feasible_point(looped, instance) for _ in range(count)])
+    assert_array_equal(got, expected[0] if size is None else expected.reshape(got.shape))
+    assert batched.bit_generator.state == looped.bit_generator.state
 
 
 def test_single_voter_instances_degenerate_to_direct_ballots():

@@ -156,6 +156,13 @@ def test_is_feasible_rejects_negative_and_bad_rows():
     assert not is_feasible(EP, x)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_is_feasible_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # with tol=nan every comparison is False and any matrix would pass
+    with pytest.raises(ValueError, match="tolerance"):
+        is_feasible(CROSSED, np.full((2, 4), 5.0), tol=tol)
+
+
 def test_project_simplex_known_values():
     assert_allclose(project_simplex(np.array([-0.1, 0.6]), 0.5), [0.0, 0.5])
     assert_allclose(project_simplex(np.array([0.4, 0.4]), 0.5), [0.25, 0.25])
