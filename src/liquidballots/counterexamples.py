@@ -107,12 +107,14 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
     normalization, which contracts so strongly that multiple fixed
     points never showed up in any experiment.  All worked examples use
     sparse defaults, and only sparse defaults exhibit non-uniqueness.
-    A single voter has nobody to delegate to and votes directly.
+    A single voter has nobody to delegate to and votes directly, one
+    bundle per candidate; past 20 candidates the denominator grows to
+    ``m`` so that every budget stays positive.
     """
     candidates = tuple(f"c{i + 1}" for i in range(m))
     voters = tuple(f"v{i + 1}" for i in range(n))
     if n == 1:
-        budgets = _rational_budgets(rng, m) if m > 1 else [Fraction(1)]
+        budgets = _rational_budgets(rng, m, units=max(20, m)) if m > 1 else [Fraction(1)]
         row = tuple(
             Bundle(members=(c,), budget=float(b), delegate=voters[0], notion=Notion.DIRECT)
             for c, b in zip(candidates, budgets)

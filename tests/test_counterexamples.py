@@ -115,6 +115,15 @@ def test_single_voter_instances_degenerate_to_direct_ballots():
     assert all(b.notion is Notion.DIRECT for b in inst.delegations[0])
 
 
+def test_single_voter_instance_with_more_candidates_than_budget_units():
+    inst = random_wcc_instance(np.random.default_rng(0), 1, 25)
+    assert validate_instance(inst).ok
+    budgets = [b.budget for b in inst.delegations[0]]
+    assert len(budgets) == 25
+    assert min(budgets) > 0.0
+    assert abs(sum(budgets) - 1.0) < 1e-12
+
+
 def test_contraction_search_finds_and_reproduces():
     finding = search_violation("contraction-violation", n=4, m=3, seed=7, budget=30)
     assert finding is not None
