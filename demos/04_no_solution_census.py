@@ -1,9 +1,10 @@
-"""Certify that hard thresholds can rule out every approximate solution.
+"""Show that hard thresholds can leave no approximate solution on the grid.
 
 Swap the crossed-thresholds election to the discontinuous hard-threshold
 notion and the best-response map starts jumping between branches: simple
 iteration falls into a two-cycle, and an exhaustive scan of the rational
-grid shows no point gets its residual below 0.01.
+grid shows no grid point gets its residual below 0.01.  The scan rules out
+grid points only; it proves nothing about the matrices between them.
 """
 
 from liquidballots import (
@@ -31,7 +32,8 @@ def main():
     print(f"points with residual <= 0.01: {len(result.hits)}")
     print(f"smallest residual anywhere on the grid: {result.best_residual:.6f}")
     print("attained at:\n", result.best)
-    print("\nso no 0.01-weak approximate solution exists at grid scale;")
+    print("\nso no grid point is a 0.01-weak approximate solution (points off")
+    print("the grid are not covered);")
     print("the same election under EP-TI solves to residual ~1e-13")
 
 

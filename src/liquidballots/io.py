@@ -233,7 +233,8 @@ def parse_solution(text, instance) -> np.ndarray:
     """Load a solution matrix and check it targets ``instance``.
 
     The document's candidate and voter orderings must match the
-    instance's exactly; the matrix shape is checked against them.
+    instance's exactly; the matrix shape is checked against them, and
+    NaN or infinite values are refused.
     """
     try:
         doc = json.loads(text)
@@ -261,6 +262,8 @@ def parse_solution(text, instance) -> np.ndarray:
     for i, row in enumerate(values):
         for j, v in enumerate(row):
             out[i, j] = _number(v, f"values[{i}][{j}]")
+            if not np.isfinite(out[i, j]):
+                raise InstanceSyntaxError(f"non-finite value {v!r}", f"values[{i}][{j}]")
     return out
 
 

@@ -35,10 +35,6 @@ import numpy as np
 from .io import _format_number
 from .model import Notion
 
-_COMPARISONS = ("=", "<=", ">=", "<")
-_CONNECTIVES = ("and", "or", "=>")
-
-
 def _render(node) -> str:
     if isinstance(node, str):
         return node

@@ -1,25 +1,33 @@
-"""The four proportionality operators and the full best-response map.
+"""The four proportionality operators, the full best-response map and
+the exact gradient of its squared residual.
 
 Each operator answers one question for a delegated bundle: given the
 current solution matrix, how does voter ``v`` want her bundle budget split
-among the bundle's members?
+among the bundle's members?  All four answer it the same way: build a
+pre-image ``z`` from the delegate's slice ``y`` and rescale it to the
+bundle budget, ``z / sum(z) * budget``.  Only ``z`` depends on the notion:
 
-EP     exact proportionality: copy the delegate's support ratios; if the
-       delegate gives the bundle nothing, the voter is already satisfied
-       and keeps her current slice.
-EP-T   hard threshold: proportional while the delegate's support for the
-       bundle reaches ``1 / weight``, the stored default below that.
-EP-TI  thresholded with interpolation: as EP-T above the threshold, a
-       continuous blend of delegate slice and default below it.
-WCC    weighted convex combination: always ``default + weight * delegate
-       slice``, rescaled to the bundle budget.
+EP     exact proportionality: ``z = y``, the delegate's support ratios; if
+       the delegate gives the bundle nothing, the voter is already
+       satisfied and keeps her current slice.
+EP-T   hard threshold: ``z = y`` while the delegate's support
+       ``nu = sum(y)`` for the bundle reaches ``1 / weight``, the stored
+       default below that.
+EP-TI  thresholded with interpolation: ``z = y`` at or above the
+       threshold, the continuous blend ``z = y + (threshold - nu) *
+       default`` below it.
+WCC    weighted convex combination: always ``z = default + weight * y``.
+
+``_preimage`` builds ``z`` for every notion, ``_respond`` rescales it, and
+``_residual_gradient`` differentiates the same rescaling and pulls it back
+through the same ``z``, so each notion's formula is written once.
 
 ``best_response`` runs off the instance's grouped plan: all bundles that
 share a notion and a size ``k`` are one group, holding ``(B, 1)`` voter
 and delegate rows, a ``(B, k)`` column table and ``(B, 1)`` budgets,
 weights and thresholds.  Each group costs one fancy-indexed gather, one
-call of its notion kernel and one scatter, whatever the number of
-bundles; DIRECT singletons are one constant scatter.  Stacked input
+``_respond`` call and one scatter, whatever the number of bundles;
+DIRECT singletons are one constant scatter.  Stacked input
 ``(..., n, m)`` is evaluated in one pass, and the grid oracle relies on
 this.  The stack axis is walked in blocks of about ``_BLOCK`` gathered
 elements per group, so the kernel's temporaries stay small when a
@@ -40,61 +48,50 @@ from .model import Bundle, Notion
 _BLOCK = 1 << 16
 
 
-def _proportional(delegate_slice, budget):
-    """Scale the delegate's slice to the bundle budget, keeping its ratios."""
-    nu = delegate_slice.sum(axis=-1, keepdims=True)
-    safe = np.where(nu != 0.0, nu, 1.0)
-    return delegate_slice / safe * budget
+def _preimage(cell, y):
+    """The vector each notion rescales, its sum, and the threshold mask.
 
-
-def _interpolated(delegate_slice, default, threshold, budget):
-    """Blend of delegate slice and default used below the threshold.
-
-    The blend weight on the default grows linearly as the delegate's
-    support falls from the threshold to zero; the result is rescaled to
-    the bundle budget.
+    ``y`` is the delegate's slice, shape ``(..., k)``; ``cell`` is one
+    ``_CompiledBundle`` (scalar parameters) or one ``_BundleGroup``
+    (``(B, 1)`` parameters, slices ``(..., B, k)``).  Returns ``(z, s,
+    below)``: the bundle response is ``z / s * budget``, ``s`` is ``z``'s
+    sum over the last axis, and ``below`` flags an EP-T or EP-TI slice
+    whose support ``nu = sum(y)`` is under the threshold (``None`` for the
+    other notions).  Where ``z`` is ``y`` itself, ``s`` is ``nu``.
     """
-    nu = delegate_slice.sum(axis=-1, keepdims=True)
-    z = delegate_slice + (threshold - nu) * default
-    zn = z.sum(axis=-1, keepdims=True)
-    safe = np.where(zn != 0.0, zn, 1.0)
-    return z / safe * budget
-
-
-def _combined(delegate_slice, default, weight, budget):
-    """Weighted convex combination of default and delegate slice."""
-    z = default + weight * delegate_slice
-    zn = z.sum(axis=-1, keepdims=True)
-    safe = np.where(zn != 0.0, zn, 1.0)
-    return z / safe * budget
+    if cell.notion is Notion.WCC:
+        z = cell.default + cell.weight * y
+        return z, z.sum(axis=-1, keepdims=True), None
+    nu = y.sum(axis=-1, keepdims=True)
+    if cell.notion is Notion.EP:
+        return y, nu, None
+    below = nu < cell.threshold
+    if cell.notion is Notion.EP_T:
+        return y, nu, below
+    if cell.notion is Notion.EP_TI:
+        # the default's share grows as the support falls from the threshold
+        blend = y + (cell.threshold - nu) * cell.default
+        s = np.where(below, blend.sum(axis=-1, keepdims=True), nu)
+        return np.where(below, blend, y), s, below
+    raise AssertionError(f"unexpected notion {cell.notion}")
 
 
 def _respond(cell, delegate_slice, current_slice):
-    """Dispatch a compiled bundle, or a group of them, to its notion kernel.
+    """Best response of a compiled bundle, or a group of them.
 
-    Slices have shape ``(..., k)``; leading axes are evaluated together.
-    ``cell`` is one ``_CompiledBundle`` (scalar parameters) or one
-    ``_BundleGroup`` (``(B, 1)`` parameters, slices ``(..., B, k)``).
+    Rescales the notion's pre-image to the bundle budget, then applies the
+    two fallbacks: EP keeps ``current_slice`` where its delegate gives the
+    bundle nothing, and EP-T takes the default below its threshold.
     """
-    notion = cell.notion
-    if notion is Notion.EP:
-        nu = delegate_slice.sum(axis=-1, keepdims=True)
-        prop = _proportional(delegate_slice, cell.budget)
+    z, s, below = _preimage(cell, delegate_slice)
+    response = z / np.where(s != 0.0, s, 1.0) * cell.budget
+    if cell.notion is Notion.EP:
         # zero delegate support: any split is acceptable, keep the current
         # one so satisfied voters stay fixed under iteration
-        return np.where(nu > 0.0, prop, current_slice)
-    if notion is Notion.EP_T:
-        nu = delegate_slice.sum(axis=-1, keepdims=True)
-        prop = _proportional(delegate_slice, cell.budget)
-        return np.where(nu >= cell.threshold, prop, cell.default)
-    if notion is Notion.EP_TI:
-        nu = delegate_slice.sum(axis=-1, keepdims=True)
-        prop = _proportional(delegate_slice, cell.budget)
-        interp = _interpolated(delegate_slice, cell.default, cell.threshold, cell.budget)
-        return np.where(nu >= cell.threshold, prop, interp)
-    if notion is Notion.WCC:
-        return _combined(delegate_slice, cell.default, cell.weight, cell.budget)
-    raise AssertionError(f"unexpected notion {notion}")
+        return np.where(s > 0.0, response, current_slice)
+    if cell.notion is Notion.EP_T:
+        return np.where(below, cell.default, response)
+    return response
 
 
 def best_response(x, instance) -> np.ndarray:
@@ -169,6 +166,48 @@ def bundle_response(x, instance, voter, bundle) -> np.ndarray:
         bundle = bundles[position]
     cols = [instance.candidate_index[c] for c in bundle.members]
     return best_response(x, instance)[..., instance.voter_index[voter], cols]
+
+
+def _residual_gradient(x, instance, fx) -> np.ndarray:
+    """Exact gradient of ``||f(x) - x||_2^2`` at ``x``, bundle by bundle.
+
+    ``fx`` is ``best_response(x, instance)``.  The gradient is
+    ``2 (J_f^T r - r)`` with ``r = fx - x``.  Every bundle response is
+    the rescaling ``z -> z / s * budget`` of the pre-image ``z`` that
+    ``_preimage`` builds from the delegate's slice ``y`` alone, so
+    ``J_f^T r`` is one gather and one scatter-add per group: the
+    rescaling's vector-Jacobian product ``budget / s * (u - (z . u) / s)``,
+    with ``u`` the bundle's cells of ``r``, pulled back through ``z(y)``.
+    DIRECT cells are constant and contribute nothing.
+
+    At the two kinks of the map the derivative is the one-sided one of
+    the branch that ``best_response`` takes.  An EP bundle whose delegate
+    gives it nothing keeps the voter's own slice, so its residual ``u`` is
+    0 and it pulls nothing back onto the delegate's slice: the derivative
+    from below, where the support stays zero.  An EP-TI bundle exactly at
+    its threshold is on the proportional branch: the derivative from
+    above.  EP-T has no gradient and is refused by the caller.
+    """
+    r = fx - x
+    pulled = np.zeros_like(x)  # J_f^T r
+    for g in instance._groups:
+        if g.notion is Notion.DIRECT:
+            continue
+        if g.notion is Notion.EP_T:
+            raise AssertionError("no gradient for notion EP-T")
+        u = r[g.voter, g.cols]
+        z, s, below = _preimage(g, x[g.delegate, g.cols])
+        safe = np.where(s != 0.0, s, 1.0)
+        w = g.budget / safe * (u - (z * u).sum(axis=-1, keepdims=True) / safe)
+        # pull back through z(y): the identity for EP and for EP-TI at or
+        # above its threshold
+        if g.notion is Notion.WCC:
+            w *= g.weight
+        elif g.notion is Notion.EP_TI:
+            w -= np.where(below, (g.default * w).sum(axis=-1, keepdims=True), 0.0)
+        # delegates repeat inside a group, so the scatter must accumulate
+        np.add.at(pulled, (g.delegate, g.cols), w)
+    return 2.0 * (pulled - r)
 
 
 def residual_norms(x, instance, fx=None) -> tuple[float, float]:

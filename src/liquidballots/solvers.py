@@ -10,8 +10,8 @@ Three ways to hunt for a point with small residual ``f(x) - x``:
   every step.  Requires every notion to be continuous (no EP-T).
 * ``grid_oracle``: exhaustively scan all feasible matrices whose bundle
   slices lie on a rational grid.  Exponential in the free dimensions but
-  complete, so it can certify that no weak approximate fixed point exists
-  at grid scale.
+  complete on the grid: it can rule out every grid point as a weak
+  approximate fixed point, though not the matrices between them.
 
 ``solve`` dispatches between them.  Convergence always means the linf
 residual is at most the configured tolerance; the l1 residual is tracked
@@ -31,7 +31,7 @@ from .model import (
     is_feasible,
     project_to_feasible,
 )
-from .response import best_response, residual_norms
+from .response import _residual_gradient, best_response, residual_norms
 
 #: First trial step of each descent line search, and the factor that
 #: backtracking multiplies it by.
@@ -137,56 +137,6 @@ def simple_iteration(instance, x0, cfg=SolverConfig()) -> SolveReport:
             )
         x = fx
         iterations += 1
-
-
-def _residual_gradient(x, instance, fx) -> np.ndarray:
-    """Exact gradient of ``||f(x) - x||_2^2`` at ``x``, bundle by bundle.
-
-    ``fx`` is ``best_response(x, instance)``.  The gradient is
-    ``2 (J_f^T r - r)`` with ``r = fx - x``.  Every bundle response is
-    the rescaling ``z -> z / sum(z) * budget`` of a vector ``z`` that
-    depends on the delegate's slice ``y`` alone, so ``J_f^T r`` is one
-    gather and one scatter-add per group: the rescaling's vector-Jacobian
-    product ``budget / s * (u - (z . u) / s)``, with ``s = sum(z)`` and
-    ``u`` the bundle's cells of ``r``, pulled back through ``z(y)``.
-    DIRECT cells are constant and contribute nothing.
-
-    At the two kinks of the map the derivative is the one-sided one of
-    the branch that ``best_response`` takes.  An EP bundle whose delegate
-    gives it nothing keeps the voter's own slice, so its residual ``u`` is
-    0 and it pulls nothing back onto the delegate's slice: the derivative
-    from below, where the support stays zero.  An EP-TI bundle exactly at
-    its threshold is on the proportional branch: the derivative from
-    above.  EP-T is refused by the caller.
-    """
-    r = fx - x
-    pulled = np.zeros_like(x)  # J_f^T r
-    for g in instance._groups:
-        if g.notion is Notion.DIRECT:
-            continue
-        y = x[g.delegate, g.cols]
-        u = r[g.voter, g.cols]
-        if g.notion is Notion.WCC:
-            z = g.default + g.weight * y
-        elif g.notion is Notion.EP_TI:
-            nu = y.sum(axis=-1, keepdims=True)
-            below = nu < g.threshold
-            z = np.where(below, y + (g.threshold - nu) * g.default, y)
-        elif g.notion is Notion.EP:
-            # with zero support f keeps the voter's slice, so u = 0 and w = 0
-            z = y
-        else:
-            raise AssertionError(f"no gradient for notion {g.notion}")
-        s = z.sum(axis=-1, keepdims=True)
-        safe = np.where(s != 0.0, s, 1.0)
-        w = g.budget / safe * (u - (z * u).sum(axis=-1, keepdims=True) / safe)
-        if g.notion is Notion.WCC:
-            w *= g.weight
-        elif g.notion is Notion.EP_TI:
-            w -= np.where(below, (g.default * w).sum(axis=-1, keepdims=True), 0.0)
-        # delegates repeat inside a group, so the scatter must accumulate
-        np.add.at(pulled, (g.delegate, g.cols), w)
-    return 2.0 * (pulled - r)
 
 
 def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:

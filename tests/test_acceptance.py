@@ -8,6 +8,7 @@ against live regeneration (see ``tests/fixtures/README.md``).
 
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -171,7 +172,7 @@ def test_criterion_07_feasibility_preservation():
 
 
 def test_criterion_08_epti_boundary_continuity():
-    from liquidballots.response import _interpolated, _proportional
+    from liquidballots.response import _preimage, _respond
 
     rng = np.random.default_rng(8)
     for _ in range(1000):
@@ -181,8 +182,15 @@ def test_criterion_08_epti_boundary_continuity():
         y = rng.dirichlet(np.ones(k)) * threshold
         default = rng.dirichlet(np.ones(k)) * budget
         at_boundary = float(y.sum())  # delegate support exactly at threshold
-        prop = _proportional(y, budget)
-        interp = _interpolated(y, default, at_boundary, budget)
+        # one EP-TI bundle at the threshold (proportional branch) and one
+        # ulp above it (interpolated branch)
+        at, above = (
+            SimpleNamespace(notion=Notion.EP_TI, budget=budget, threshold=t, default=default)
+            for t in (at_boundary, np.nextafter(at_boundary, np.inf))
+        )
+        assert not _preimage(at, y)[2] and _preimage(above, y)[2]
+        prop = _respond(at, y, y)
+        interp = _respond(above, y, y)
         assert np.abs(prop - interp).max() <= 1e-12
     passed(8, "proportional and blended branches agree at the threshold")
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, messages, file side effects."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def test_validate_accepts_and_rejects(tmp_path, epti_file, capsys):
     assert run_cli(["validate", epti_file]) == 0
     assert "instance is valid" in capsys.readouterr().out
 
-    bad = json.loads(open(epti_file).read())
+    bad = json.loads(Path(epti_file).read_text())
     bad["voters"][0]["bundles"][0]["weight"] = "0"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -110,6 +111,14 @@ def test_verify_accepts_solved_and_rejects_unsolved(tmp_path, epti_file, capsys)
     bad.write_text(serialize_solution(inst, np.full((2, 4), 0.5)))
     assert run_cli(["verify", epti_file, str(bad)]) == 1
     assert "feasible: no" in capsys.readouterr().out
+
+    doc = json.loads(serialize_solution(inst, sol))
+    doc["values"][0][2] = "nan"
+    bad.write_text(json.dumps(doc))
+    assert run_cli(["verify", epti_file, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "error: values[0][2]: non-finite value 'nan'" in captured.err
+    assert "regret" not in captured.out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])

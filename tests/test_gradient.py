@@ -1,6 +1,6 @@
 """The exact residual gradient against finite differences.
 
-``solvers._residual_gradient`` computes the gradient of
+``response._residual_gradient`` computes the gradient of
 ``||f(x) - x||_2^2`` bundle by bundle.  ``fd_gradient`` below is the
 slow reference: second-order finite differences, which evaluate a
 ``(4 n m + 1, n, m)`` stack per call.
@@ -30,7 +30,7 @@ from liquidballots import (
     project_to_feasible,
     solvers,
 )
-from liquidballots.solvers import _residual_gradient
+from liquidballots.response import _residual_gradient
 
 #: Finite-difference step of the reference: fine enough that the truncation
 #: error on steep EP slopes (budget / support) stays well inside rtol 1e-6.

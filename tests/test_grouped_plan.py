@@ -6,8 +6,11 @@ record per (notion, bundle size).  The loops below walk ``_plan`` one
 bundle at a time, as these functions did before the grouping, and
 ``reference_project_simplex`` is the one-dimensional projection that
 ``project_simplex`` used to be; they are the references, and the grouped
-code must match them bit for bit.  ``bundle_response`` reads one
-bundle's cells off the same map and must match them too.
+code must match them bit for bit.  ``reference_respond`` writes each
+notion's response as its own formula, as ``response`` did before the four
+notions shared one pre-image, so the same comparison pins every notion's
+bits too.  ``bundle_response`` reads one bundle's cells off the same map
+and must match them too.
 """
 
 from unittest import mock
@@ -31,7 +34,43 @@ from liquidballots import (
     response,
     validate_instance,
 )
-from liquidballots.response import _respond
+
+
+def reference_proportional(y, budget):
+    nu = y.sum(axis=-1, keepdims=True)
+    safe = np.where(nu != 0.0, nu, 1.0)
+    return y / safe * budget
+
+
+def reference_interpolated(y, default, threshold, budget):
+    nu = y.sum(axis=-1, keepdims=True)
+    z = y + (threshold - nu) * default
+    zn = z.sum(axis=-1, keepdims=True)
+    safe = np.where(zn != 0.0, zn, 1.0)
+    return z / safe * budget
+
+
+def reference_combined(y, default, weight, budget):
+    z = default + weight * y
+    zn = z.sum(axis=-1, keepdims=True)
+    safe = np.where(zn != 0.0, zn, 1.0)
+    return z / safe * budget
+
+
+def reference_respond(cell, y, current):
+    """One bundle's response, each notion by its own formula."""
+    nu = y.sum(axis=-1, keepdims=True)
+    if cell.notion is Notion.EP:
+        return np.where(nu > 0.0, reference_proportional(y, cell.budget), current)
+    if cell.notion is Notion.EP_T:
+        prop = reference_proportional(y, cell.budget)
+        return np.where(nu >= cell.threshold, prop, cell.default)
+    if cell.notion is Notion.EP_TI:
+        prop = reference_proportional(y, cell.budget)
+        interp = reference_interpolated(y, cell.default, cell.threshold, cell.budget)
+        return np.where(nu >= cell.threshold, prop, interp)
+    assert cell.notion is Notion.WCC
+    return reference_combined(y, cell.default, cell.weight, cell.budget)
 
 
 def reference_best_response(x, instance):
@@ -41,7 +80,7 @@ def reference_best_response(x, instance):
         if cell.notion is Notion.DIRECT:
             out[..., cell.voter, cell.cols] = cell.budget
         else:
-            out[..., cell.voter, cell.cols] = _respond(
+            out[..., cell.voter, cell.cols] = reference_respond(
                 cell,
                 x[..., cell.delegate, cell.cols],
                 x[..., cell.voter, cell.cols],

@@ -121,6 +121,15 @@ def test_solution_orderings_are_checked():
         parse_solution(json.dumps(doc), inst)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", float("nan"), float("inf")])
+def test_solution_refuses_non_finite_values(value):
+    inst = fixtures.crossed_thresholds(Notion.EP_TI)
+    doc = json.loads(serialize_solution(inst, np.zeros((2, 4))))
+    doc["values"][1][2] = value
+    with pytest.raises(InstanceSyntaxError, match=r"values\[1\]\[2\]: non-finite value"):
+        parse_solution(json.dumps(doc), inst)
+
+
 def test_trace_csv_layout():
     text = trace_csv(((1.0, 0.5), (0.25, 0.125)))
     assert text == (

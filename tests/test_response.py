@@ -1,5 +1,7 @@
 """Per-notion best-response operators and the assembled response map."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from liquidballots import (
     project_to_feasible,
     residual_norms,
 )
-from liquidballots.response import _interpolated, _proportional
+from liquidballots.response import _preimage, _respond
 
 CROSSED = fixtures.crossed_thresholds(Notion.EP_TI)
 
@@ -98,10 +100,15 @@ def test_epti_on_crossed_solution_slice():
 )
 def test_epti_branches_agree_at_threshold(raw, budget, scale):
     y = np.array(raw) * scale
-    threshold = float(y.sum())
+    nu = float(y.sum())
     default = np.full(len(y), budget / len(y))
-    prop = _proportional(y, budget)
-    interp = _interpolated(y, default, threshold, budget)
+    at, above = (
+        SimpleNamespace(notion=Notion.EP_TI, budget=budget, threshold=t, default=default)
+        for t in (nu, np.nextafter(nu, np.inf))
+    )
+    assert not _preimage(at, y)[2] and _preimage(above, y)[2]
+    prop = _respond(at, y, y)
+    interp = _respond(above, y, y)
     assert_allclose(prop, interp, atol=1e-12)
 
 
