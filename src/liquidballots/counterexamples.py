@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .io import InstanceSyntaxError, _format_number, instance_from_doc, instance_to_doc
+from .io import InstanceSyntaxError, _finite, _format_number, _matrix, instance_from_doc, instance_to_doc
 from .model import Bundle, ElectionInstance, Notion
 from .response import best_response, residual_norms
 from .solvers import initial_point
@@ -121,7 +121,7 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
         )
         return ElectionInstance(candidates, voters, (row,))
     delegations = []
-    for voter in voters:
+    for vi, voter in enumerate(voters):
         parts = int(rng.integers(1, min(m, 19) + 1))
         cuts = []
         if parts > 1:
@@ -132,8 +132,8 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
         bundles = []
         for group, b in zip(groups, budgets):
             members = tuple(candidates[ci] for ci in sorted(int(g) for g in group))
-            others = [v for v in voters if v != voter]
-            delegate = others[int(rng.integers(len(others)))]
+            j = int(rng.integers(n - 1))  # a uniform draw among the other voters
+            delegate = voters[j + (j >= vi)]
             b = float(b)
             if default_mode == "even-split":
                 default = tuple([b / len(members)] * len(members))
@@ -172,18 +172,25 @@ def random_feasible_point(rng, instance, size=None):
     ``k >= 2`` members and positive budget, repeated ``N`` times.
     """
     count = 1 if size is None else size
-    drawn = [c for c in instance._plan if c.budget > 0.0 and len(c.cols) > 1]
-    gammas = rng.standard_gamma(1.0, size=(count, sum(len(c.cols) for c in drawn)))
+    plan = instance._plan
+    # gamma columns per bundle in plan order: k for a drawn bundle, else 0
+    widths = np.zeros(sum(len(g.index) for g in plan) + 1, dtype=int)
+    for g in plan:
+        if g.cols.shape[1] > 1:
+            widths[g.index + 1] = g.cols.shape[1] * (g.budget[:, 0] > 0.0)
+    offsets = np.cumsum(widths)  # offsets[i]: first gamma column of bundle i
+    gammas = rng.standard_gamma(1.0, size=(count, offsets[-1]))
     x = np.zeros((count, instance.n, instance.m))
-    for cell in instance._plan:
-        if cell.budget > 0.0 and len(cell.cols) == 1:
-            x[:, cell.voter, cell.cols[0]] = cell.budget
-    start = 0
-    for cell in drawn:
-        g = gammas[:, start : start + len(cell.cols)]
-        start += len(cell.cols)
-        acc = np.cumsum(g, axis=-1)[:, -1:]  # left to right, as dirichlet sums
-        x[:, cell.voter, cell.cols] = cell.budget * (g * (1.0 / acc))
+    for g in plan:
+        k = g.cols.shape[1]
+        on = g.budget[:, 0] > 0.0
+        voter, cols, budget = g.voter[on], g.cols[on], g.budget[on]
+        if k == 1:
+            x[:, voter, cols] = budget
+            continue
+        drawn = gammas[:, offsets[g.index[on], None] + np.arange(k)]
+        acc = np.cumsum(drawn, axis=-1)[..., -1:]  # left to right, as dirichlet sums
+        x[:, voter, cols] = budget * (drawn * (1.0 / acc))
     return x[0] if size is None else x
 
 
@@ -336,10 +343,6 @@ def _matrix_doc(x):
     return [[_format_number(v) for v in row] for row in np.asarray(x, dtype=float)]
 
 
-def _matrix_from_doc(doc):
-    return np.array([[float(Fraction(v)) for v in row] for row in doc])
-
-
 def finding_to_doc(finding) -> dict:
     return {
         "schema_version": 1,
@@ -354,11 +357,17 @@ def finding_to_doc(finding) -> dict:
 
 def finding_from_doc(doc) -> SearchFinding:
     try:
+        instance = instance_from_doc(doc["instance"])
+        shape = (instance.n, instance.m)
         return SearchFinding(
             kind=str(doc["kind"]),
-            instance=instance_from_doc(doc["instance"]),
-            witnesses={k: _matrix_from_doc(v) for k, v in doc["witnesses"].items()},
-            certificate={k: float(Fraction(v)) for k, v in doc["certificate"].items()},
+            instance=instance,
+            witnesses={
+                k: _matrix(v, shape, f"witnesses.{k}") for k, v in doc["witnesses"].items()
+            },
+            certificate={
+                k: _finite(v, f"certificate.{k}") for k, v in doc["certificate"].items()
+            },
             seed=int(doc["seed"]),
             attempt=int(doc["attempt"]),
         )

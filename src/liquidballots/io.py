@@ -72,6 +72,30 @@ def _number(value, location):
     raise InstanceSyntaxError(f"expected a number, got {type(value).__name__}", location)
 
 
+def _finite(value, location):
+    """``_number``, refusing NaN and infinite values."""
+    number = _number(value, location)
+    if not math.isfinite(number):
+        raise InstanceSyntaxError(f"non-finite value {value!r}", location)
+    return number
+
+
+def _matrix(rows, shape, location) -> np.ndarray:
+    """A finite ``(n, m)`` matrix from ``n`` lists of ``m`` numbers; errors name the cell."""
+    n, m = shape
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(isinstance(row, list) and len(row) == m for row in rows)
+    ):
+        raise InstanceSyntaxError(f"expected a {n} x {m} row-major matrix", location)
+    cells = [
+        [_finite(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return np.array(cells, dtype=float).reshape(shape)
+
+
 def _require(doc, keys, optional, location):
     if not isinstance(doc, dict):
         raise InstanceSyntaxError("expected an object", location)
@@ -249,22 +273,7 @@ def parse_solution(text, instance) -> np.ndarray:
         raise InstanceSyntaxError("candidate ordering does not match the instance", "candidates")
     if tuple(_string_list(doc["voters"], "voters")) != instance.voters:
         raise InstanceSyntaxError("voter ordering does not match the instance", "voters")
-    values = doc["values"]
-    if (
-        not isinstance(values, list)
-        or len(values) != instance.n
-        or any(not isinstance(row, list) or len(row) != instance.m for row in values)
-    ):
-        raise InstanceSyntaxError(
-            f"values must be a {instance.n} x {instance.m} row-major matrix", "values"
-        )
-    out = np.empty((instance.n, instance.m))
-    for i, row in enumerate(values):
-        for j, v in enumerate(row):
-            out[i, j] = _number(v, f"values[{i}][{j}]")
-            if not np.isfinite(out[i, j]):
-                raise InstanceSyntaxError(f"non-finite value {v!r}", f"values[{i}][{j}]")
-    return out
+    return _matrix(doc["values"], (instance.n, instance.m), "values")
 
 
 def trace_csv(trajectory) -> str:

@@ -99,32 +99,21 @@ class Bundle:
 
 
 @dataclass(frozen=True, eq=False)
-class _CompiledBundle:
-    """Index-resolved view of one bundle, shared by the numeric kernels."""
-
-    voter: int
-    cols: np.ndarray
-    delegate: int
-    notion: Notion
-    budget: float
-    weight: float
-    threshold: float
-    default: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
 class _BundleGroup:
     """All bundles of one notion and one size ``k``, stacked for the kernels.
 
-    Row ``i`` of every array describes one bundle: ``voter`` and
-    ``delegate`` are ``(B, 1)`` row indices, ``cols`` is the ``(B, k)``
-    column table, ``budget``, ``weight`` and ``threshold`` are ``(B, 1)``.
-    ``default`` is ``(B, k)`` and holds the even split of the budget for
-    bundles without a default vector.  Indexing a matrix with
+    Row ``i`` of every array describes one bundle: ``index`` ``(B,)`` is
+    its position in voter-then-bundle order, ``voter`` and ``delegate``
+    are ``(B, 1)`` row indices, ``cols`` is the ``(B, k)`` column table,
+    ``budget``, ``weight`` and ``threshold`` are ``(B, 1)`` (NaN weight
+    and threshold for unweighted notions).  ``default`` is ``(B, k)`` and
+    holds the even split of the budget for bundles without a default
+    vector.  Rows follow ``index``.  Indexing a matrix with
     ``[voter, cols]`` gathers every bundle's own slice at once.
     """
 
     notion: Notion
+    index: np.ndarray
     voter: np.ndarray
     delegate: np.ndarray
     cols: np.ndarray
@@ -178,64 +167,45 @@ class ElectionInstance:
         return self.delegations[self.voter_index[voter]]
 
     @cached_property
-    def _plan(self) -> tuple[_CompiledBundle, ...]:
-        """Bundles with identifiers resolved to indices, in voter order."""
-        cells = []
-        for vi, bundles in enumerate(self.delegations):
-            for bundle in bundles:
-                cols = np.array(
-                    [self.candidate_index[c] for c in bundle.members], dtype=int
-                )
-                default = None
-                if bundle.default is not None:
-                    default = np.array(bundle.default, dtype=float)
-                weight = bundle.weight if bundle.weight is not None else math.nan
-                threshold = (
-                    bundle.threshold if bundle.threshold is not None else math.nan
-                )
-                cells.append(
-                    _CompiledBundle(
-                        voter=vi,
-                        cols=cols,
-                        delegate=self.voter_index[bundle.delegate],
-                        notion=bundle.notion,
-                        budget=bundle.budget,
-                        weight=weight,
-                        threshold=threshold,
-                        default=default,
-                    )
-                )
-        return tuple(cells)
-
-    @cached_property
-    def _groups(self) -> tuple[_BundleGroup, ...]:
-        """The plan grouped by (notion, bundle size), for whole-matrix kernels.
+    def _plan(self) -> tuple[_BundleGroup, ...]:
+        """Every bundle, index-resolved and grouped by (notion, bundle size).
 
         DIRECT singletons form groups of their own, so their
         ``(voter, cols, budget)`` arrays are the constant scatter of the
-        fixed cells.  Bundle order inside a group follows ``_plan``.
+        fixed cells.
         """
-        by_key: dict[tuple[Notion, int], list[_CompiledBundle]] = {}
-        for cell in self._plan:
-            by_key.setdefault((cell.notion, len(cell.cols)), []).append(cell)
+        # per (notion, k): flat ints, floats, columns and defaults
+        fields: dict[tuple[Notion, int], tuple[list, list, list, list]] = {}
+        voter_index, candidate_index = self.voter_index, self.candidate_index
+        index = 0
+        for vi, bundles in enumerate(self.delegations):
+            for bundle in bundles:
+                k = len(bundle.members)
+                ints, floats, cols, defaults = fields.setdefault(
+                    (bundle.notion, k), ([], [], [], [])
+                )
+                weight = math.nan if bundle.weight is None else bundle.weight
+                ints += (index, vi, voter_index[bundle.delegate])
+                floats += (bundle.budget, weight, 1.0 / weight)
+                cols += [candidate_index[c] for c in bundle.members]
+                defaults += bundle.default if bundle.default is not None else [bundle.budget / k] * k
+                index += 1
         groups = []
-        for (notion, k), cells in by_key.items():
-            # one contiguous (B, 1) column per field
-            rows = np.array([(c.voter, c.delegate) for c in cells]).T.copy()[:, :, None]
-            params = np.array([(c.budget, c.weight, c.threshold) for c in cells]).T.copy()
-            voter, delegate = rows
-            budget, weight, threshold = params[:, :, None]
-            defaults = [c.default if c.default is not None else [c.budget / k] * k for c in cells]
+        for (notion, k), (ints, floats, cols, defaults) in fields.items():
+            # one contiguous column per field
+            order, voter, delegate = np.array(ints).reshape(-1, 3).T.copy()
+            budget, weight, threshold = np.array(floats).reshape(-1, 3).T.copy()[:, :, None]
             groups.append(
                 _BundleGroup(
                     notion=notion,
-                    voter=voter,
-                    delegate=delegate,
-                    cols=np.concatenate([c.cols for c in cells]).reshape(-1, k),
+                    index=order,
+                    voter=voter[:, None],
+                    delegate=delegate[:, None],
+                    cols=np.array(cols, dtype=int).reshape(-1, k),
                     budget=budget,
                     weight=weight,
                     threshold=threshold,
-                    default=np.concatenate(defaults).reshape(-1, k),
+                    default=np.array(defaults, dtype=float).reshape(-1, k),
                 )
             )
         return tuple(groups)
@@ -436,7 +406,7 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
         return False
     return not any(
         np.any(np.abs(x[g.voter, g.cols].sum(axis=-1, keepdims=True) - g.budget) > tol)
-        for g in instance._groups
+        for g in instance._plan
     )
 
 
@@ -478,6 +448,6 @@ def project_to_feasible(instance, y) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise ValueError("projection input must be finite")
     out = np.empty(y.shape)
-    for g in instance._groups:
+    for g in instance._plan:
         out[g.voter, g.cols] = _project_rows(y[g.voter, g.cols], g.budget)
     return out

@@ -136,9 +136,13 @@ def export_qcqp(instance) -> ConstraintExport:
 
     Raises ``ValueError`` when an EP-T bundle is present.
     """
-    for cell in instance._plan:
-        if cell.notion is Notion.EP_T:
-            raise ValueError("EP-T bundles have no continuous encoding; export refused")
+    slices = [
+        (vi, bundle, [instance.candidate_index[c] for c in bundle.members])
+        for vi, bundles in enumerate(instance.delegations)
+        for bundle in bundles
+    ]
+    if any(bundle.notion is Notion.EP_T for _, bundle, _ in slices):
+        raise ValueError("EP-T bundles have no continuous encoding; export refused")
 
     def var(vi, ci):
         return f"x_{vi}_{ci}"
@@ -167,28 +171,29 @@ def export_qcqp(instance) -> ConstraintExport:
         poly = row[0] if len(row) == 1 else ("+", *row)
         constraints.append(("row-sum", ("=", poly, "1")))
 
-    for cell in instance._plan:
-        members = [var(cell.voter, ci) for ci in cell.cols]
+    for vi, bundle, cols in slices:
+        members = [var(vi, ci) for ci in cols]
         poly = members[0] if len(members) == 1 else ("+", *members)
-        constraints.append(("bundle-sum", ("=", poly, _format_number(cell.budget))))
+        constraints.append(("bundle-sum", ("=", poly, _format_number(bundle.budget))))
 
-    for cell in instance._plan:
-        if cell.notion is Notion.DIRECT or len(cell.cols) < 2:
+    for vi, bundle, cols in slices:
+        if bundle.notion is Notion.DIRECT or len(cols) < 2:
             continue  # singleton slices are pinned by their bundle sum
-        own = [var(cell.voter, ci) for ci in cell.cols]
-        dlg = [var(cell.delegate, ci) for ci in cell.cols]
+        own = [var(vi, ci) for ci in cols]
+        delegate = instance.voter_index[bundle.delegate]
+        dlg = [var(delegate, ci) for ci in cols]
         support = ("+", *dlg)
 
-        if cell.notion is Notion.EP:
+        if bundle.notion is Notion.EP:
             for a in range(len(own)):
                 for b in range(len(own)):
                     if a != b:
                         constraints.append(
                             ("ep", ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b])))
                         )
-        elif cell.notion is Notion.WCC:
-            w = _format_number(cell.weight)
-            dsum = _format_number(float(cell.default.sum()))
+        elif bundle.notion is Notion.WCC:
+            w = _format_number(bundle.weight)
+            dsum = _format_number(np.sum(bundle.default))
             norm = ("+", dsum, ("*", w, support))
             for a in range(len(own)):
                 constraints.append(
@@ -199,14 +204,14 @@ def export_qcqp(instance) -> ConstraintExport:
                             ("*", own[a], norm),
                             (
                                 "*",
-                                ("+", _format_number(cell.default[a]), ("*", w, dlg[a])),
-                                _format_number(cell.budget),
+                                ("+", _format_number(bundle.default[a]), ("*", w, dlg[a])),
+                                _format_number(bundle.budget),
                             ),
                         ),
                     )
                 )
-        elif cell.notion is Notion.EP_TI:
-            eps = ("/", "1", _format_number(cell.weight))
+        elif bundle.notion is Notion.EP_TI:
+            eps = ("/", "1", _format_number(bundle.weight))
             pairs = [
                 ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b]))
                 for a in range(len(own))
@@ -217,15 +222,15 @@ def export_qcqp(instance) -> ConstraintExport:
                 ("epti-prop", ("=>", (">=", support, eps), ("and", *pairs)))
             )
             slack = ("-", eps, support)
-            norm = ("+", support, ("*", slack, _format_number(cell.budget)))
+            norm = ("+", support, ("*", slack, _format_number(bundle.budget)))
             interp = [
                 (
                     "=",
                     ("*", own[a], norm),
                     (
                         "*",
-                        ("+", dlg[a], ("*", slack, _format_number(cell.default[a]))),
-                        _format_number(cell.budget),
+                        ("+", dlg[a], ("*", slack, _format_number(bundle.default[a]))),
+                        _format_number(bundle.budget),
                     ),
                 )
                 for a in range(len(own))

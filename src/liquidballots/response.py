@@ -51,11 +51,11 @@ _BLOCK = 1 << 16
 def _preimage(cell, y):
     """The vector each notion rescales, its sum, and the threshold mask.
 
-    ``y`` is the delegate's slice, shape ``(..., k)``; ``cell`` is one
-    ``_CompiledBundle`` (scalar parameters) or one ``_BundleGroup``
-    (``(B, 1)`` parameters, slices ``(..., B, k)``).  Returns ``(z, s,
-    below)``: the bundle response is ``z / s * budget``, ``s`` is ``z``'s
-    sum over the last axis, and ``below`` flags an EP-T or EP-TI slice
+    ``y`` is the delegate's slice.  ``cell`` is one ``_BundleGroup``
+    (``(B, 1)`` parameters, slices ``(..., B, k)``) or any object with the
+    same fields as scalars, for one bundle's slice ``(..., k)``.  Returns
+    ``(z, s, below)``: the bundle response is ``z / s * budget``, ``s`` is
+    ``z``'s sum over the last axis, and ``below`` flags an EP-T or EP-TI slice
     whose support ``nu = sum(y)`` is under the threshold (``None`` for the
     other notions).  Where ``z`` is ``y`` itself, ``s`` is ``nu``.
     """
@@ -77,7 +77,7 @@ def _preimage(cell, y):
 
 
 def _respond(cell, delegate_slice, current_slice):
-    """Best response of a compiled bundle, or a group of them.
+    """Best response of a group of bundles, or of one bundle.
 
     Rescales the notion's pre-image to the bundle budget, then applies the
     two fallbacks: EP keeps ``current_slice`` where its delegate gives the
@@ -108,7 +108,8 @@ def best_response(x, instance) -> np.ndarray:
     -------
     C-contiguous array of the same shape.  For feasible input the output
     is feasible: every bundle slice of the result has l1-norm equal to
-    its budget.
+    its budget.  Raises ``ValueError`` for a shape mismatch and for NaN
+    or infinite entries.
 
     Notes
     -----
@@ -124,9 +125,11 @@ def best_response(x, instance) -> np.ndarray:
             f"solution shape {x.shape} does not match instance "
             f"({instance.n} voters, {instance.m} candidates)"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("best-response input must be finite")
     stack = x.reshape((-1,) + x.shape[-2:])
     out = np.empty(stack.shape)
-    for g in instance._groups:
+    for g in instance._plan:
         if g.notion is Notion.DIRECT:
             out[:, g.voter, g.cols] = g.budget
             continue
@@ -190,7 +193,7 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
     """
     r = fx - x
     pulled = np.zeros_like(x)  # J_f^T r
-    for g in instance._groups:
+    for g in instance._plan:
         if g.notion is Notion.DIRECT:
             continue
         if g.notion is Notion.EP_T:

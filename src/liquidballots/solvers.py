@@ -98,7 +98,7 @@ def initial_point(instance, mode="defaults") -> np.ndarray:
     if mode not in ("defaults", "even-split"):
         raise ValueError(f"unknown initial point mode {mode!r}")
     x = np.zeros((instance.n, instance.m))
-    for g in instance._groups:
+    for g in instance._plan:
         if g.notion is Notion.DIRECT:
             x[g.voter, g.cols] = g.budget
         elif mode == "defaults":
@@ -154,9 +154,8 @@ def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
     EP-T bundles are refused: the loss is discontinuous there and the
     gradient step would be meaningless.
     """
-    for cell in instance._plan:
-        if cell.notion is Notion.EP_T:
-            raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
+    if any(g.notion is Notion.EP_T for g in instance._plan):
+        raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
 
     x = np.array(x0, dtype=float)
     trajectory = []
@@ -272,16 +271,17 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
                     f"is not a multiple of the grid resolution {res!r}"
                 )
     base = np.zeros((instance.n, instance.m))
-    enumerated = []  # (cell, value table (count rows scaled by resolution))
-    for cell in instance._plan:
-        if cell.notion is Notion.DIRECT:
-            base[cell.voter, cell.cols] = cell.budget
-        else:
-            units = int(round(cell.budget / res))
-            values = _compositions(units, len(cell.cols)).astype(float) * res
-            enumerated.append((cell, values))
+    enumerated = []  # (plan index, voter, cols, value table in grid units * res)
+    for g in instance._plan:
+        if g.notion is Notion.DIRECT:
+            base[g.voter, g.cols] = g.budget
+            continue
+        for index, voter, cols, budget in zip(g.index, g.voter[:, 0], g.cols, g.budget[:, 0]):
+            values = _compositions(int(round(budget / res)), len(cols)).astype(float) * res
+            enumerated.append((index, voter, cols, values))
+    enumerated.sort(key=lambda e: e[0])  # the scan's digits run in plan order
 
-    radices = [len(values) for _, values in enumerated]
+    radices = [len(values) for *_, values in enumerated]
     total = 1
     for r in radices:
         total *= r
@@ -294,9 +294,9 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
         flat = np.arange(start, stop, dtype=np.int64)
         xs = np.broadcast_to(base, (stop - start,) + base.shape).copy()
         digits = flat
-        for (cell, values), radix in zip(reversed(enumerated), reversed(radices)):
+        for (_, voter, cols, values), radix in zip(reversed(enumerated), reversed(radices)):
             digits, digit = np.divmod(digits, radix)
-            xs[:, cell.voter, cell.cols] = values[digit]
+            xs[:, voter, cols] = values[digit]
         diff = best_response(xs, instance)
         diff -= xs
         residuals = np.abs(diff, out=diff).max(axis=(1, 2))
@@ -357,7 +357,7 @@ def _dispatch(instance, cfg, strategy, start) -> SolveReport:
     report = simple_iteration(instance, x0, cfg)
     if report.status == "converged":
         return report
-    if any(cell.notion is Notion.EP_T for cell in instance._plan):
+    if any(g.notion is Notion.EP_T for g in instance._plan):
         return report
     follow = residual_descent(instance, report.solution, cfg)
     return SolveReport(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
-from test_grouped_plan import mixed_instance
+from test_grouped_plan import mixed_instance, reference_plan
 
 from liquidballots import (
     Notion,
@@ -25,7 +25,8 @@ from liquidballots import (
     search_violation,
     validate_instance,
 )
-from liquidballots.counterexamples import finding_to_doc
+from liquidballots.counterexamples import finding_from_doc, finding_to_doc
+from liquidballots.io import InstanceSyntaxError
 
 
 def test_search_kind_names():
@@ -76,7 +77,7 @@ def test_random_instances_are_valid_and_deterministic():
 def reference_random_feasible_point(rng, instance):
     """One ``rng.dirichlet`` call per bundle: the draw the batched one must equal."""
     x = np.zeros((instance.n, instance.m))
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         k = len(cell.cols)
         if cell.budget <= 0.0:
             continue
@@ -208,3 +209,36 @@ def test_nonuniqueness_fixture_certifies(fixture_path):
     # product between them is numerically zero
     cross = check_pseudomono_violation(finding.instance, x1, x2)
     assert abs(cross) < 1e-8
+
+
+def nonuniqueness_doc(fixture_path):
+    return json.loads((fixture_path / "non-uniqueness.json").read_text())
+
+
+@pytest.mark.parametrize("change", ["missing row", "short row", "long row"])
+def test_finding_witness_shape_is_checked(fixture_path, change):
+    doc = nonuniqueness_doc(fixture_path)
+    assert finding_from_doc(doc).witnesses["x1"].shape == (10, 5)
+    x1 = doc["witnesses"]["x1"]
+    if change == "missing row":
+        x1.pop()
+    elif change == "short row":
+        x1[3].pop()
+    else:
+        x1[3].append("0")
+    with pytest.raises(InstanceSyntaxError, match=r"witnesses\.x1: expected a 10 x 5"):
+        finding_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "value,message", [("nan", "non-finite"), ("inf", "non-finite"), ("abc", "invalid number")]
+)
+def test_finding_numbers_are_checked_where_they_stand(fixture_path, value, message):
+    doc = nonuniqueness_doc(fixture_path)
+    doc["witnesses"]["x1"][2][4] = value
+    with pytest.raises(InstanceSyntaxError, match=rf"witnesses\.x1\[2\]\[4\]: {message}"):
+        finding_from_doc(doc)
+    doc = nonuniqueness_doc(fixture_path)
+    doc["certificate"]["distance"] = value
+    with pytest.raises(InstanceSyntaxError, match=rf"certificate\.distance: {message}"):
+        finding_from_doc(doc)

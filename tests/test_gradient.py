@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 from numpy.testing import assert_allclose, assert_array_equal
-from test_grouped_plan import mixed_instance, probe_matrices
+from test_grouped_plan import mixed_instance, probe_matrices, reference_plan
 
 from liquidballots import (
     Bundle,
@@ -82,7 +82,7 @@ def kinks(x, instance):
     """
     cases = set()
     side = np.zeros(x.shape, dtype=int)
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         nu = x[cell.delegate, cell.cols].sum()
         if cell.notion is Notion.DIRECT:
             cases.add("DIRECT")

@@ -1,18 +1,21 @@
 """The grouped bundle plan against the per-bundle loops it replaced.
 
 ``best_response``, ``project_to_feasible``, ``is_feasible`` and
-``initial_point`` run off ``ElectionInstance._groups``: one stacked
-record per (notion, bundle size).  The loops below walk ``_plan`` one
-bundle at a time, as these functions did before the grouping, and
-``reference_project_simplex`` is the one-dimensional projection that
-``project_simplex`` used to be; they are the references, and the grouped
-code must match them bit for bit.  ``reference_respond`` writes each
-notion's response as its own formula, as ``response`` did before the four
-notions shared one pre-image, so the same comparison pins every notion's
-bits too.  ``bundle_response`` reads one bundle's cells off the same map
-and must match them too.
+``initial_point`` run off ``ElectionInstance._plan``: one stacked record
+per (notion, bundle size).  ``reference_plan`` compiles the same
+delegations one record per bundle, in voter-then-bundle order.  The loops
+below walk it one bundle at a time, as these functions did before the
+grouping, and ``reference_project_simplex`` is the one-dimensional
+projection that ``project_simplex`` used to be; they are the references,
+and the grouped code must match them bit for bit.  ``reference_respond``
+writes each notion's response as its own formula, as ``response`` did
+before the four notions shared one pre-image, so the same comparison
+pins every notion's bits too.  ``bundle_response`` reads one bundle's
+cells off the same map and must match them too.
 """
 
+import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -34,6 +37,26 @@ from liquidballots import (
     response,
     validate_instance,
 )
+
+
+def reference_plan(instance):
+    """One record per bundle, identifiers resolved to indices, in voter order."""
+    cells = []
+    for vi, bundles in enumerate(instance.delegations):
+        for bundle in bundles:
+            cells.append(
+                SimpleNamespace(
+                    voter=vi,
+                    cols=np.array([instance.candidate_index[c] for c in bundle.members], dtype=int),
+                    delegate=instance.voter_index[bundle.delegate],
+                    notion=bundle.notion,
+                    budget=bundle.budget,
+                    weight=math.nan if bundle.weight is None else bundle.weight,
+                    threshold=math.nan if bundle.weight is None else bundle.threshold,
+                    default=None if bundle.default is None else np.array(bundle.default, dtype=float),
+                )
+            )
+    return tuple(cells)
 
 
 def reference_proportional(y, budget):
@@ -76,7 +99,7 @@ def reference_respond(cell, y, current):
 def reference_best_response(x, instance):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         if cell.notion is Notion.DIRECT:
             out[..., cell.voter, cell.cols] = cell.budget
         else:
@@ -101,7 +124,7 @@ def reference_project_simplex(v, total):
 def reference_project(instance, y):
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         v = y[cell.voter, cell.cols]
         out[cell.voter, cell.cols] = reference_project_simplex(v, cell.budget)
     return out
@@ -115,7 +138,7 @@ def reference_is_feasible(instance, x, tol=1e-9):
         return False
     if np.any(np.abs(x.sum(axis=1) - 1.0) > tol):
         return False
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         if abs(x[cell.voter, cell.cols].sum() - cell.budget) > tol:
             return False
     return True
@@ -123,7 +146,7 @@ def reference_is_feasible(instance, x, tol=1e-9):
 
 def reference_initial_point(instance, mode):
     x = np.zeros((instance.n, instance.m))
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         if cell.notion is Notion.DIRECT:
             x[cell.voter, cell.cols] = cell.budget
         elif mode == "defaults" and cell.default is not None:
@@ -188,7 +211,7 @@ def probe_matrices(rng, instance, count):
     """
     n, m = instance.n, instance.m
     xs = rng.random((count, n, m)) * (rng.random((count, n, m)) < 0.6)
-    thresholded = [c for c in instance._plan if c.notion in (Notion.EP_T, Notion.EP_TI)]
+    thresholded = [c for c in reference_plan(instance) if c.notion in (Notion.EP_T, Notion.EP_TI)]
     for i in range(0, count, 2):
         if not thresholded:
             break
@@ -248,7 +271,7 @@ def test_best_response_matches_per_bundle_loop(seed, n, m, stack, layout, block)
 
 def test_best_response_walks_a_stack_of_several_blocks():
     instance = fixtures.crossed_thresholds(Notion.EP_T)
-    group_elements = sum(g.cols.size for g in instance._groups if g.notion is not Notion.DIRECT)
+    group_elements = sum(g.cols.size for g in instance._plan if g.notion is not Notion.DIRECT)
     count = 3 * response._BLOCK // group_elements + 5
     rng = np.random.default_rng(3)
     xs = probe_matrices(rng, instance, count)
@@ -267,7 +290,7 @@ def test_stacked_and_single_input_agree():
         for _ in range(20):
             instance = mixed_instance(rng, int(rng.integers(2, 6)), m)
             small = np.zeros((instance.n, m), dtype=bool)
-            for cell in instance._plan:
+            for cell in reference_plan(instance):
                 small[cell.voter, cell.cols] = len(cell.cols) < 8
             xs = probe_matrices(rng, instance, 5)
             stacked = best_response(xs, instance)
@@ -293,7 +316,7 @@ def test_projection_and_feasibility_match_per_bundle_loops(seed, n, m, layout, t
         y = np.round(y, 1) * (rng.random((n, m)) < 0.7)
     projected = project_to_feasible(instance, laid_out(y, layout))
     assert_array_equal(projected, reference_project(instance, y))
-    for cell in instance._plan:
+    for cell in reference_plan(instance):
         v = y[cell.voter, cell.cols]
         expected = reference_project_simplex(v, cell.budget)
         assert_array_equal(project_simplex(v, cell.budget), expected)
@@ -320,12 +343,26 @@ def test_initial_point_matches_per_bundle_loop(seed, n, m):
 def test_groups_cover_every_bundle_once():
     rng = np.random.default_rng(8)
     instance = mixed_instance(rng, 12, 9)
-    keys = [(g.notion, g.cols.shape[1]) for g in instance._groups]
+    keys = [(g.notion, g.cols.shape[1]) for g in instance._plan]
     assert len(keys) == len(set(keys))
-    assert sum(len(g.cols) for g in instance._groups) == len(instance._plan)
+    reference = reference_plan(instance)
+    indices = np.concatenate([g.index for g in instance._plan])
+    assert sorted(indices.tolist()) == list(range(len(reference)))
+    assert all(np.all(np.diff(g.index) > 0) for g in instance._plan)
+    for g in instance._plan:
+        for row, index in enumerate(g.index):
+            cell = reference[index]
+            assert (g.notion, g.voter[row, 0], g.delegate[row, 0]) == (
+                cell.notion, cell.voter, cell.delegate,
+            )
+            assert_array_equal(g.cols[row], cell.cols)
+            assert_array_equal(
+                [g.budget[row, 0], g.weight[row, 0], g.threshold[row, 0]],
+                [cell.budget, cell.weight, cell.threshold],
+            )
     cells = {
         (int(v), int(c))
-        for g in instance._groups
+        for g in instance._plan
         for v, cols in zip(g.voter[:, 0], g.cols)
         for c in cols
     }

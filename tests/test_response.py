@@ -14,6 +14,7 @@ from liquidballots import (
     Notion,
     best_response,
     bundle_response,
+    check_contraction_violation,
     fixtures,
     initial_point,
     is_feasible,
@@ -148,6 +149,20 @@ def test_bundle_lookup_by_object_and_index():
 def test_best_response_rejects_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         best_response(np.zeros((3, 3)), CROSSED)
+
+
+@pytest.mark.parametrize("notion", [Notion.EP_T, Notion.EP_TI])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_best_response_refuses_non_finite_input(notion, value):
+    inst = fixtures.crossed_thresholds(notion)
+    x = initial_point(inst, "even-split")
+    x[1, 2] = value
+    with pytest.raises(ValueError, match="finite"):
+        best_response(x, inst)
+    with pytest.raises(ValueError, match="finite"):
+        best_response(np.stack([initial_point(inst, "defaults"), x]), inst)
+    with pytest.raises(ValueError, match="finite"):
+        check_contraction_violation(inst, x)
 
 
 def test_best_response_stack_matches_loop():

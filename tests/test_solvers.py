@@ -178,6 +178,52 @@ def test_grid_scan_is_complete_against_independent_enumeration():
     )
 
 
+def interleaved_groups():
+    """Plan order WCC, EP (voter v) then EP, WCC (voter u): two groups interleave."""
+
+    def wcc(members, delegate, default):
+        return Bundle(members, 0.5, delegate, Notion.WCC, 2.0, default)
+
+    def ep(members, delegate):
+        return Bundle(members, 0.5, delegate, Notion.EP)
+
+    return ElectionInstance(
+        ("c1", "c2", "c3", "c4"),
+        ("v", "u"),
+        (
+            (wcc(("c1", "c2"), "u", (0.5, 0.0)), ep(("c3", "c4"), "u")),
+            (ep(("c1", "c2"), "v"), wcc(("c3", "c4"), "v", (0.0, 0.5))),
+        ),
+    )
+
+
+def test_grid_scan_order_follows_the_plan_across_groups():
+    inst = interleaved_groups()
+    res, tol = 0.25, 0.25
+    slices = [  # (voter, cols) in voter-then-bundle order
+        (vi, [inst.candidate_index[c] for c in b.members])
+        for vi, bundles in enumerate(inst.delegations)
+        for b in bundles
+    ]
+    splits = [np.array([a, 2 - a]) * res for a in (2, 1, 0)]  # the scan's order
+    expected = []
+    for combo in itertools.product(splits, repeat=len(slices)):
+        x = np.zeros((2, 4))
+        for (vi, cols), values in zip(slices, combo):
+            x[vi, cols] = values
+        r = float(np.abs(best_response(x, inst) - x).max())
+        if r <= tol:
+            expected.append((x, r))
+
+    result = grid_oracle(inst, SolverConfig(tolerance=tol, grid_resolution=res))
+    assert result.points == 3 ** len(slices)
+    assert 1 < len(expected) < result.points
+    assert len(result.hits) == len(expected)
+    for (got, got_r), (want, want_r) in zip(result.hits, expected):
+        assert_array_equal(got, want)
+        assert got_r == want_r
+
+
 def test_grid_certifies_absence_at_tighter_tolerance():
     result = grid_oracle(EPT, SolverConfig(tolerance=0.01, grid_resolution=0.05))
     assert result.hits == ()
