@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .io import InstanceSyntaxError, _finite, _format_number, _matrix, instance_from_doc, instance_to_doc
+from .io import InstanceSyntaxError, _finite, _format_number, _matrix, _require
+from .io import instance_from_doc, instance_to_doc
 from .model import Bundle, ElectionInstance, Notion
 from .response import best_response, residual_norms
 from .solvers import initial_point
@@ -43,12 +44,14 @@ def check_contraction_violation(instance, x):
     Returns ``(violated, lhs, rhs)`` where ``lhs = ||f(x) - f(f(x))||_1``
     and ``rhs = ||x - f(x)||_1``.  A contraction would force
     ``lhs < rhs`` whenever ``rhs > 0``; ``violated`` reports ``lhs > rhs``.
+    ``x`` may be a stack ``(..., n, m)``; the three results are then
+    arrays over the stack, and scalars for a single matrix.
     """
     x = np.asarray(x, dtype=float)
     fx = best_response(x, instance)
     ffx = best_response(fx, instance)
-    rhs = float(np.abs(x - fx).sum())
-    lhs = float(np.abs(fx - ffx).sum())
+    rhs = np.abs(x - fx).sum(axis=(-2, -1))
+    lhs = np.abs(fx - ffx).sum(axis=(-2, -1))
     return lhs > rhs, lhs, rhs
 
 
@@ -57,8 +60,9 @@ def check_pseudomono_violation(instance, x, y):
 
     Pseudo-monotonicity of the residual operator relative to the solution
     set would make this non-negative for every feasible ``y``; a strictly
-    negative value is a counterexample.  Raises ``ValueError`` when ``x``
-    is not a solution to within 1e-6.
+    negative value is a counterexample.  ``y`` may be a stack
+    ``(..., n, m)`` of probes, giving an array of inner products.  Raises
+    ``ValueError`` when ``x`` is not a solution to within 1e-6.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -66,7 +70,7 @@ def check_pseudomono_violation(instance, x, y):
     if linf > 1e-6:
         raise ValueError(f"x is not a fixed point: residual {linf!r} exceeds 1e-06")
     fy = best_response(y, instance)
-    return float(((y - fy) * (y - x)).sum())
+    return ((y - fy) * (y - x)).sum(axis=(-2, -1))
 
 
 def check_nonuniqueness(instance, x1, x2, residual_tol=1e-6, separation=0.1):
@@ -221,10 +225,7 @@ class SearchFinding:
 def _search_contraction(rng, instance, attempt, seed):
     probes = random_feasible_point(rng, instance, _POINT_PROBES)
     xs = np.concatenate([initial_point(instance, "defaults")[None], probes])
-    fx = best_response(xs, instance)
-    ffx = best_response(fx, instance)
-    rhs = np.abs(xs - fx).sum(axis=(-2, -1))
-    lhs = np.abs(fx - ffx).sum(axis=(-2, -1))
+    _, lhs, rhs = check_contraction_violation(instance, xs)
     margin = lhs - rhs
     best = int(np.argmax(margin))
     if margin[best] >= 1e-6:
@@ -244,22 +245,23 @@ def _search_contraction(rng, instance, attempt, seed):
 
 
 def _distinct_fixed_points(rng, instance, tol=1e-6):
-    """Multi-start iteration; returns converged points sorted by spread."""
+    """Multi-start iteration; returns the converged points in start order.
+
+    The defaults start comes first, then ``_STARTS`` random starts.
+    """
     starts = random_feasible_point(rng, instance, _STARTS)
     starts = np.concatenate([initial_point(instance, "defaults")[None], starts])
     xs, res = _iterate_batch(instance, starts, tol=1e-10)
     return xs[res <= tol]
 
 
-def _search_nonuniqueness(rng, instance, attempt, seed, separation):
+def _search_nonuniqueness(rng, instance, attempt, seed):
     points = _distinct_fixed_points(rng, instance)
     if len(points) < 2:
         return None
     diffs = np.max(np.abs(points[:, None] - points[None, :]), axis=(-2, -1))
     i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-    ok, distance = check_nonuniqueness(
-        instance, points[i], points[j], separation=separation
-    )
+    ok, distance = check_nonuniqueness(instance, points[i], points[j])
     if not ok:
         return None
     _, r1 = residual_norms(points[i], instance)
@@ -291,8 +293,7 @@ def _search_pseudomono(rng, instance, attempt, seed):
             blend = rng.uniform(0.8, 1.0)
             probes.append(blend * other + (1.0 - blend) * random_feasible_point(rng, instance))
     ys = np.stack(probes)
-    fys = best_response(ys, instance)
-    values = ((ys - fys) * (ys - x)).sum(axis=(-2, -1))
+    values = check_pseudomono_violation(instance, x, ys)
     best = int(np.argmin(values))
     if values[best] <= -1e-6:
         return SearchFinding(
@@ -315,13 +316,14 @@ def search_violation(
     default_mode="even-split",
     seed=0,
     budget=200,
-    separation=0.1,
 ):
     """Randomized search for one counterexample kind.
 
     Draws up to ``budget`` random instances from
     :func:`random_wcc_instance` and probes each; deterministic for fixed
-    arguments.  Returns a :class:`SearchFinding` or ``None``.
+    arguments.  Non-uniqueness witnesses lie more than 0.1 apart, the
+    default separation of :func:`check_nonuniqueness`.  Returns a
+    :class:`SearchFinding` or ``None``.
     """
     if kind not in SEARCH_KINDS:
         raise ValueError(f"unknown search kind {kind!r}; expected one of {SEARCH_KINDS}")
@@ -331,7 +333,7 @@ def search_violation(
         if kind == "contraction-violation":
             finding = _search_contraction(rng, instance, attempt, seed)
         elif kind == "non-uniqueness":
-            finding = _search_nonuniqueness(rng, instance, attempt, seed, separation)
+            finding = _search_nonuniqueness(rng, instance, attempt, seed)
         else:
             finding = _search_pseudomono(rng, instance, attempt, seed)
         if finding is not None:
@@ -356,23 +358,29 @@ def finding_to_doc(finding) -> dict:
 
 
 def finding_from_doc(doc) -> SearchFinding:
-    try:
-        instance = instance_from_doc(doc["instance"])
-        shape = (instance.n, instance.m)
-        return SearchFinding(
-            kind=str(doc["kind"]),
-            instance=instance,
-            witnesses={
-                k: _matrix(v, shape, f"witnesses.{k}") for k, v in doc["witnesses"].items()
-            },
-            certificate={
-                k: _finite(v, f"certificate.{k}") for k, v in doc["certificate"].items()
-            },
-            seed=int(doc["seed"]),
-            attempt=int(doc["attempt"]),
-        )
-    except KeyError as exc:
-        raise InstanceSyntaxError(f"finding document misses key {exc}") from None
+    """Rebuild a finding; a malformed document raises ``InstanceSyntaxError``."""
+    keys = ("schema_version", "kind", "seed", "attempt", "instance", "witnesses", "certificate")
+    _require(doc, keys, (), "finding")
+    if doc["schema_version"] != 1:
+        raise InstanceSyntaxError(f"unsupported schema_version {doc['schema_version']!r}", "finding")
+    if doc["kind"] not in SEARCH_KINDS:
+        raise InstanceSyntaxError(f"unknown search kind {doc['kind']!r}", "kind")
+    for key in ("seed", "attempt"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise InstanceSyntaxError(f"expected an integer, got {doc[key]!r}", key)
+    for key in ("witnesses", "certificate"):
+        if not isinstance(doc[key], dict):
+            raise InstanceSyntaxError("expected an object", key)
+    instance = instance_from_doc(doc["instance"])
+    shape = (instance.n, instance.m)
+    return SearchFinding(
+        kind=doc["kind"],
+        instance=instance,
+        witnesses={k: _matrix(v, shape, f"witnesses.{k}") for k, v in doc["witnesses"].items()},
+        certificate={k: _finite(v, f"certificate.{k}") for k, v in doc["certificate"].items()},
+        seed=doc["seed"],
+        attempt=doc["attempt"],
+    )
 
 
 def save_finding(finding, path) -> None:

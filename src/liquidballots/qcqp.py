@@ -184,13 +184,15 @@ def export_qcqp(instance) -> ConstraintExport:
         dlg = [var(delegate, ci) for ci in cols]
         support = ("+", *dlg)
 
+        if bundle.notion in (Notion.EP, Notion.EP_TI):  # ratio equalities, ordered pairs
+            pairs = [
+                ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b]))
+                for a in range(len(own))
+                for b in range(len(own))
+                if a != b
+            ]
         if bundle.notion is Notion.EP:
-            for a in range(len(own)):
-                for b in range(len(own)):
-                    if a != b:
-                        constraints.append(
-                            ("ep", ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b])))
-                        )
+            constraints += [("ep", pair) for pair in pairs]
         elif bundle.notion is Notion.WCC:
             w = _format_number(bundle.weight)
             dsum = _format_number(np.sum(bundle.default))
@@ -212,12 +214,6 @@ def export_qcqp(instance) -> ConstraintExport:
                 )
         elif bundle.notion is Notion.EP_TI:
             eps = ("/", "1", _format_number(bundle.weight))
-            pairs = [
-                ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b]))
-                for a in range(len(own))
-                for b in range(len(own))
-                if a != b
-            ]
             constraints.append(
                 ("epti-prop", ("=>", (">=", support, eps), ("and", *pairs)))
             )

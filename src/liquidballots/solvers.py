@@ -13,14 +13,18 @@ Three ways to hunt for a point with small residual ``f(x) - x``:
   complete on the grid: it can rule out every grid point as a weak
   approximate fixed point, though not the matrices between them.
 
-``solve`` dispatches between them.  Convergence always means the linf
-residual is at most the configured tolerance; the l1 residual is tracked
-alongside because distances between solutions are naturally l1.
+The first two are step rules of one loop, ``_track``, which records the
+``(l1, linf)`` residual of every iterate and the best iterate so far.  It
+stops as ``"converged"`` at the first linf residual within the configured
+tolerance, and as ``"max-iterations"`` (reporting the best iterate) after
+``max_iterations`` steps or when the step rule gives up.  ``solve``
+dispatches between the solvers; the l1 residual is tracked alongside
+because distances between solutions are naturally l1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,41 +112,50 @@ def initial_point(instance, mode="defaults") -> np.ndarray:
     return x
 
 
-def simple_iteration(instance, x0, cfg=SolverConfig()) -> SolveReport:
-    """Iterate ``x <- best_response(x)`` until the residual is small.
+def _track(instance, x, fx, cfg, step) -> SolveReport:
+    """The loop of ``simple_iteration`` and ``residual_descent``.
 
-    Stops as soon as the linf residual reaches ``cfg.tolerance``
-    (status ``"converged"``, the reported solution being the current
-    iterate) or after ``cfg.max_iterations`` replacement steps (status
-    ``"max-iterations"``, reporting the lowest-residual iterate seen).
+    ``fx`` is ``best_response(x)``; ``step(x, fx)`` returns the next
+    ``(x, fx)`` pair, or ``None`` when it can make no progress.  The stop
+    rules and the report are those of the module docstring.
     """
-    x = np.array(x0, dtype=float)
     trajectory = []
-    best = x
-    best_l1 = best_linf = np.inf
+    best, best_l1, best_linf = x, np.inf, np.inf
     iterations = 0
     while True:
-        fx = best_response(x, instance)
         l1, linf = residual_norms(x, instance, fx=fx)
         trajectory.append((l1, linf))
         if linf < best_linf:
             best, best_l1, best_linf = x, l1, linf
         if linf <= cfg.tolerance:
-            return SolveReport(
-                "converged", x, linf, l1, tuple(trajectory), iterations
-            )
-        if iterations >= cfg.max_iterations:
+            return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
+        following = None if iterations >= cfg.max_iterations else step(x, fx)
+        if following is None:
             return SolveReport(
                 "max-iterations", best, best_linf, best_l1, tuple(trajectory), iterations
             )
-        x = fx
+        x, fx = following
         iterations += 1
+
+
+def simple_iteration(instance, x0, cfg=SolverConfig()) -> SolveReport:
+    """Iterate ``x <- best_response(x)`` until the residual is small.
+
+    Reports ``"converged"`` with the current iterate once its linf
+    residual is at most ``cfg.tolerance``, else ``"max-iterations"`` with
+    the lowest-residual iterate after ``cfg.max_iterations`` steps.
+    """
+    x = np.array(x0, dtype=float)
+    return _track(
+        instance, x, best_response(x, instance), cfg,
+        lambda x, fx: (fx, best_response(fx, instance)),
+    )
 
 
 def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
     """Minimize the squared residual by projected gradient descent.
 
-    Each iteration takes the exact bundle-local gradient of
+    Each step takes the exact bundle-local gradient of
     ``||f(x) - x||_2^2`` (see ``_residual_gradient``), steps against it,
     and projects the result back onto the feasible set.  Backtracking
     halves the step until the loss decreases; if the step underflows
@@ -157,43 +170,20 @@ def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
     if any(g.notion is Notion.EP_T for g in instance._plan):
         raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
 
-    x = np.array(x0, dtype=float)
-    trajectory = []
-    fx = best_response(x, instance)
-    l1, linf = residual_norms(x, instance, fx=fx)
-    trajectory.append((l1, linf))
-    best, best_l1, best_linf = x, l1, linf
-    iterations = 0
-    if linf <= cfg.tolerance:
-        return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
-
-    loss = ((fx - x) ** 2).sum()
-    while iterations < cfg.max_iterations:
+    def line_search(x, fx):
+        loss = ((fx - x) ** 2).sum()
         grad = _residual_gradient(x, instance, fx)
         step = _FIRST_STEP
-        candidate = None
         while step > 1e-14:
             y = project_to_feasible(instance, x - step * grad)
             fy = best_response(y, instance)
-            y_loss = ((fy - y) ** 2).sum()
-            if y_loss < loss:
-                candidate = (y, fy, y_loss)
-                break
+            if ((fy - y) ** 2).sum() < loss:
+                return y, fy
             step *= _BACKTRACK
-        if candidate is None:  # step underflowed without progress
-            break
-        x, fx, loss = candidate
-        iterations += 1
-        l1, linf = residual_norms(x, instance, fx=fx)
-        trajectory.append((l1, linf))
-        if linf < best_linf:
-            best, best_l1, best_linf = x, l1, linf
-        if linf <= cfg.tolerance:
-            return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
+        return None  # the step underflowed without progress
 
-    return SolveReport(
-        "max-iterations", best, best_linf, best_l1, tuple(trajectory), iterations
-    )
+    x = np.array(x0, dtype=float)
+    return _track(instance, x, best_response(x, instance), cfg, line_search)
 
 
 def _compositions(units, k) -> np.ndarray:
@@ -262,24 +252,21 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
         raise ValueError("grid resolutions finer than 0.01 are not supported")
 
     res = cfg.grid_resolution
-    for voter, bundles in zip(instance.voters, instance.delegations):
+    enumerated = []  # (voter row, cols, value table), voter-then-bundle order
+    for row, (voter, bundles) in enumerate(zip(instance.voters, instance.delegations)):
         for position, bundle in enumerate(bundles):
+            if bundle.notion is Notion.DIRECT:
+                continue
             units = bundle.budget / res
-            if bundle.notion is not Notion.DIRECT and abs(units - round(units)) > BUDGET_TOL:
+            if abs(units - round(units)) > BUDGET_TOL:
                 raise ValueError(
                     f"voter {voter!r} bundle {position}: budget {bundle.budget!r} "
                     f"is not a multiple of the grid resolution {res!r}"
                 )
-    base = np.zeros((instance.n, instance.m))
-    enumerated = []  # (plan index, voter, cols, value table in grid units * res)
-    for g in instance._plan:
-        if g.notion is Notion.DIRECT:
-            base[g.voter, g.cols] = g.budget
-            continue
-        for index, voter, cols, budget in zip(g.index, g.voter[:, 0], g.cols, g.budget[:, 0]):
-            values = _compositions(int(round(budget / res)), len(cols)).astype(float) * res
-            enumerated.append((index, voter, cols, values))
-    enumerated.sort(key=lambda e: e[0])  # the scan's digits run in plan order
+            cols = [instance.candidate_index[c] for c in bundle.members]
+            values = _compositions(int(round(units)), len(cols)).astype(float) * res
+            enumerated.append((row, cols, values))
+    base = initial_point(instance)  # DIRECT cells; the scan overwrites the rest
 
     radices = [len(values) for *_, values in enumerated]
     total = 1
@@ -294,9 +281,9 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
         flat = np.arange(start, stop, dtype=np.int64)
         xs = np.broadcast_to(base, (stop - start,) + base.shape).copy()
         digits = flat
-        for (_, voter, cols, values), radix in zip(reversed(enumerated), reversed(radices)):
+        for (row, cols, values), radix in zip(reversed(enumerated), reversed(radices)):
             digits, digit = np.divmod(digits, radix)
-            xs[:, voter, cols] = values[digit]
+            xs[:, row, cols] = values[digit]
         diff = best_response(xs, instance)
         diff -= xs
         residuals = np.abs(diff, out=diff).max(axis=(1, 2))
@@ -355,16 +342,11 @@ def _dispatch(instance, cfg, strategy, start) -> SolveReport:
         return residual_descent(instance, x0, cfg)
 
     report = simple_iteration(instance, x0, cfg)
-    if report.status == "converged":
-        return report
-    if any(g.notion is Notion.EP_T for g in instance._plan):
+    if report.status == "converged" or any(g.notion is Notion.EP_T for g in instance._plan):
         return report
     follow = residual_descent(instance, report.solution, cfg)
-    return SolveReport(
-        follow.status,
-        follow.solution,
-        follow.residual_linf,
-        follow.residual_l1,
-        report.trajectory + follow.trajectory,
-        report.iterations + follow.iterations,
+    return replace(
+        follow,
+        trajectory=report.trajectory + follow.trajectory,
+        iterations=report.iterations + follow.iterations,
     )

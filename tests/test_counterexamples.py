@@ -150,6 +150,19 @@ def test_pseudomono_search_finds_strictly_negative_probe():
     assert value <= -1e-6
 
 
+def test_stacked_checks_equal_the_per_matrix_checks(fixture_path):
+    finding = load_finding(fixture_path / "pseudo-mono-violation.json")
+    inst, x = finding.instance, finding.witnesses["x"]
+    ys = random_feasible_point(np.random.default_rng(5), inst, 6)
+    violated, lhs, rhs = check_contraction_violation(inst, ys)
+    values = check_pseudomono_violation(inst, x, ys)
+    assert violated.shape == lhs.shape == rhs.shape == values.shape == (6,)
+    for i, y in enumerate(ys):
+        assert (violated[i], lhs[i], rhs[i]) == check_contraction_violation(inst, y)
+        assert values[i] == check_pseudomono_violation(inst, x, y)
+    assert np.ndim(check_pseudomono_violation(inst, x, ys[0])) == 0
+
+
 def test_nonuniqueness_search_degenerate_instance_returns_none():
     assert search_violation("non-uniqueness", n=1, m=1, seed=0, budget=10) is None
 
@@ -242,3 +255,29 @@ def test_finding_numbers_are_checked_where_they_stand(fixture_path, value, messa
     doc["certificate"]["distance"] = value
     with pytest.raises(InstanceSyntaxError, match=rf"certificate\.distance: {message}"):
         finding_from_doc(doc)
+
+
+def set_field(key, value):
+    def change(doc):
+        doc[key] = value
+        return doc
+    return change
+
+
+MALFORMED_FINDINGS = {
+    "witnesses-list": (set_field("witnesses", [1]), "witnesses: expected an object"),
+    "certificate-string": (set_field("certificate", "x"), "certificate: expected an object"),
+    "seed-string": (set_field("seed", "abc"), "seed: expected an integer, got 'abc'"),
+    "attempt-null": (set_field("attempt", None), "attempt: expected an integer, got None"),
+    "list-document": (lambda doc: [doc], "finding: expected an object"),
+    "schema-99": (set_field("schema_version", 99), "finding: unsupported schema_version 99"),
+    "kind-bogus": (set_field("kind", "bogus"), "kind: unknown search kind 'bogus'"),
+    "extra-field": (set_field("note", "x"), "finding: unknown fields: note"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FINDINGS)
+def test_malformed_findings_are_refused_with_a_location(fixture_path, case):
+    change, message = MALFORMED_FINDINGS[case]
+    with pytest.raises(InstanceSyntaxError, match=f"^{message}$"):
+        finding_from_doc(change(nonuniqueness_doc(fixture_path)))

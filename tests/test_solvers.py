@@ -1,10 +1,17 @@
-"""Fixed-point solvers: iteration, descent, grid scan, dispatching."""
+"""Fixed-point solvers: iteration, descent, grid scan, dispatching.
+
+``reference_simple_iteration`` and ``reference_residual_descent`` are the
+two solvers as they were written before they shared one loop, each with
+its own residual bookkeeping; ``solve`` must match them bit for bit.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from test_gradient import continuous
+from test_grouped_plan import mixed_instance
 
 from liquidballots import (
     Notion,
@@ -20,7 +27,8 @@ from liquidballots import (
     solve,
     solvers,
 )
-from liquidballots.model import Bundle, ElectionInstance
+from liquidballots.model import Bundle, ElectionInstance, project_to_feasible
+from liquidballots.response import _residual_gradient, residual_norms
 
 EPTI = fixtures.crossed_thresholds(Notion.EP_TI)
 EPT = fixtures.crossed_thresholds(Notion.EP_T)
@@ -323,3 +331,143 @@ def test_solve_refuses_to_report_an_infeasible_point(monkeypatch):
     monkeypatch.setattr(solvers, "simple_iteration", broken)
     with pytest.raises(AssertionError, match="infeasible"):
         solve(EPTI, strategy="iterate")
+
+
+def reference_simple_iteration(instance, x0, cfg):
+    x = np.array(x0, dtype=float)
+    trajectory = []
+    best = x
+    best_l1 = best_linf = np.inf
+    iterations = 0
+    while True:
+        fx = best_response(x, instance)
+        l1, linf = residual_norms(x, instance, fx=fx)
+        trajectory.append((l1, linf))
+        if linf < best_linf:
+            best, best_l1, best_linf = x, l1, linf
+        if linf <= cfg.tolerance:
+            return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
+        if iterations >= cfg.max_iterations:
+            return SolveReport(
+                "max-iterations", best, best_linf, best_l1, tuple(trajectory), iterations
+            )
+        x = fx
+        iterations += 1
+
+
+def reference_residual_descent(instance, x0, cfg):
+    if any(g.notion is Notion.EP_T for g in instance._plan):
+        raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
+    x = np.array(x0, dtype=float)
+    trajectory = []
+    fx = best_response(x, instance)
+    l1, linf = residual_norms(x, instance, fx=fx)
+    trajectory.append((l1, linf))
+    best, best_l1, best_linf = x, l1, linf
+    iterations = 0
+    if linf <= cfg.tolerance:
+        return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
+    loss = ((fx - x) ** 2).sum()
+    while iterations < cfg.max_iterations:
+        grad = _residual_gradient(x, instance, fx)
+        step = 0.5
+        candidate = None
+        while step > 1e-14:
+            y = project_to_feasible(instance, x - step * grad)
+            fy = best_response(y, instance)
+            y_loss = ((fy - y) ** 2).sum()
+            if y_loss < loss:
+                candidate = (y, fy, y_loss)
+                break
+            step *= 0.5
+        if candidate is None:
+            break
+        x, fx, loss = candidate
+        iterations += 1
+        l1, linf = residual_norms(x, instance, fx=fx)
+        trajectory.append((l1, linf))
+        if linf < best_linf:
+            best, best_l1, best_linf = x, l1, linf
+        if linf <= cfg.tolerance:
+            return SolveReport("converged", x, linf, l1, tuple(trajectory), iterations)
+    return SolveReport(
+        "max-iterations", best, best_linf, best_l1, tuple(trajectory), iterations
+    )
+
+
+def reference_solve(instance, cfg, strategy):
+    x0 = initial_point(instance)
+    if strategy == "iterate":
+        return reference_simple_iteration(instance, x0, cfg)
+    if strategy == "descent":
+        return reference_residual_descent(instance, x0, cfg)
+    report = reference_simple_iteration(instance, x0, cfg)
+    if report.status == "converged" or any(g.notion is Notion.EP_T for g in instance._plan):
+        return report
+    follow = reference_residual_descent(instance, report.solution, cfg)
+    return SolveReport(
+        follow.status,
+        follow.solution,
+        follow.residual_linf,
+        follow.residual_l1,
+        report.trajectory + follow.trajectory,
+        report.iterations + follow.iterations,
+    )
+
+
+def reference_sample():
+    """Mixed elections, continuous and with EP-T, plus the threshold fixtures."""
+    rng = np.random.default_rng(8)
+    mixed = [
+        mixed_instance(rng, int(rng.integers(2, 7)), int(rng.integers(2, 6))) for _ in range(10)
+    ]
+    fixed = [EPTI, EPT, fixtures.high_confidence(Notion.WCC, 0.015)]
+    return [continuous(instance) for instance in mixed] + mixed[:3] + fixed
+
+
+def report_bits(report):
+    return (
+        report.status,
+        report.solution.tobytes(),
+        report.residual_linf,
+        report.residual_l1,
+        report.trajectory,
+        report.iterations,
+    )
+
+
+@pytest.mark.parametrize("strategy", ["iterate", "descent", "iterate-then-descent"])
+@pytest.mark.parametrize("max_iterations", [0, 3, 30])
+def test_solve_matches_the_reference_loops(strategy, max_iterations):
+    cfg = SolverConfig(tolerance=1e-6, max_iterations=max_iterations)
+    for instance in reference_sample():
+        try:
+            want = reference_solve(instance, cfg, strategy)
+        except ValueError:  # descent refuses EP-T
+            with pytest.raises(ValueError, match="EP-T bundle present"):
+                solve(instance, cfg, strategy=strategy)
+            continue
+        assert report_bits(solve(instance, cfg, strategy=strategy)) == report_bits(want)
+
+
+def test_descent_stops_when_the_step_underflows(monkeypatch):
+    # a zero gradient never lowers the loss: all 46 trials of the line
+    # search (0.5 halved down to 1e-14) are rejected, and descent stops
+    def zero(x, instance, fx):
+        return np.zeros_like(x)
+
+    calls = []
+
+    def counted(x, instance):
+        calls.append(x)
+        return best_response(x, instance)
+
+    monkeypatch.setattr(solvers, "_residual_gradient", zero)
+    monkeypatch.setitem(globals(), "_residual_gradient", zero)
+    monkeypatch.setattr(solvers, "best_response", counted)
+    cfg = SolverConfig(max_iterations=5)
+    x0 = initial_point(EPTI)
+    rep = solvers.residual_descent(EPTI, x0, cfg)
+    assert (rep.status, rep.iterations, len(rep.trajectory)) == ("max-iterations", 0, 1)
+    assert len(calls) == 1 + 46
+    assert report_bits(rep) == report_bits(reference_residual_descent(EPTI, x0, cfg))
