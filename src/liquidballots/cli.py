@@ -37,11 +37,34 @@ from .response import regret
 from .solvers import STRATEGIES, SolverConfig, grid_oracle, initial_point, simple_iteration, solve
 
 
-def _tolerance(text):
-    """argparse type of ``--tol``: a finite, non-negative float."""
+def _checked(convert, accept, rule):
+    """An argparse type: ``convert`` the text, refuse values ``accept`` rejects.
+
+    A refused value is a usage error (exit status 2) that states ``rule``.
+    """
+
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_tolerance = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "tolerance must be finite and non-negative"
+)
+
+
+def _grid_resolution(text):
+    """argparse type of ``--grid-resolution``: a step ``SolverConfig`` accepts."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    try:
+        SolverConfig(grid_resolution=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -236,9 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--strategy", choices=STRATEGIES, default="iterate-then-descent")
     p.add_argument("--tol", type=_tolerance, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=10000)
+    p.add_argument(
+        "--max-iters", type=_checked(int, lambda v: v >= 0, "max-iters must be non-negative"),
+        default=10000,
+    )
     p.add_argument("--start", choices=("defaults", "even-split"), default="defaults")
-    p.add_argument("--grid-resolution", type=float, default=0.01)
+    p.add_argument("--grid-resolution", type=_grid_resolution, default=0.01)
     p.add_argument("--trace", metavar="CSV", help="write per-iteration residuals")
     p.add_argument("--out", metavar="JSON", help="write the solution file")
     p.set_defaults(func=_cmd_solve)
@@ -255,12 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="randomized counterexample search")
     p.add_argument("kind", choices=SEARCH_KINDS)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--m", type=int, default=5)
-    p.add_argument("--weight", type=float, default=10.0)
+    p.add_argument("--n", type=_checked(int, lambda v: v >= 1, "n must be at least 1"), default=10)
+    p.add_argument("--m", type=_checked(int, lambda v: v >= 1, "m must be at least 1"), default=5)
+    p.add_argument(
+        "--weight",
+        type=_checked(float, lambda v: math.isfinite(v) and v > 0, "weight must be finite and positive"),
+        default=10.0,
+    )
     p.add_argument("--default-mode", choices=("even-split", "random"), default="even-split")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument(
+        "--seed", type=_checked(int, lambda v: v >= 0, "seed must be non-negative"), default=0
+    )
+    p.add_argument(
+        "--budget", type=_checked(int, lambda v: v >= 0, "budget must be non-negative"), default=200
+    )
     p.add_argument("--out", metavar="JSON", help="write the finding as JSON")
     p.set_defaults(func=_cmd_search)
 

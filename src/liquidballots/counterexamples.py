@@ -20,6 +20,7 @@ with a seeded random search, so that findings can be reproduced from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,6 +98,11 @@ def _rational_budgets(rng, parts, units=20):
     return [Fraction(edges[i + 1] - edges[i], units) for i in range(parts)]
 
 
+def _check_default_mode(default_mode):
+    if default_mode not in ("even-split", "random"):
+        raise ValueError(f"default_mode must be 'even-split' or 'random', got {default_mode!r}")
+
+
 def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
     """Random instance where every bundle resolves by combined rescaling.
 
@@ -115,6 +121,7 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
     bundle per candidate; past 20 candidates the denominator grows to
     ``m`` so that every budget stays positive.
     """
+    _check_default_mode(default_mode)
     candidates = tuple(f"c{i + 1}" for i in range(m))
     voters = tuple(f"v{i + 1}" for i in range(n))
     if n == 1:
@@ -141,14 +148,12 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
             b = float(b)
             if default_mode == "even-split":
                 default = tuple([b / len(members)] * len(members))
-            elif default_mode == "random":
+            else:
                 k = len(members)
                 support = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
                 d = np.zeros(k)
                 d[support] = rng.dirichlet(np.ones(len(support))) * b
                 default = tuple(d)
-            else:
-                raise ValueError(f"unknown default mode {default_mode!r}")
             bundles.append(
                 Bundle(
                     members=members,
@@ -323,10 +328,22 @@ def search_violation(
     :func:`random_wcc_instance` and probes each; deterministic for fixed
     arguments.  Non-uniqueness witnesses lie more than 0.1 apart, the
     default separation of :func:`check_nonuniqueness`.  Returns a
-    :class:`SearchFinding` or ``None``.
+    :class:`SearchFinding` or ``None``.  Raises ``ValueError`` naming the
+    argument for an unknown ``kind`` or ``default_mode``, ``n`` or ``m``
+    below 1, a negative ``seed`` or ``budget`` and a ``weight`` that is
+    not finite and positive.
     """
     if kind not in SEARCH_KINDS:
         raise ValueError(f"unknown search kind {kind!r}; expected one of {SEARCH_KINDS}")
+    for name, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    for name, value in (("seed", seed), ("budget", budget)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(f"weight must be finite and positive, got {weight!r}")
+    _check_default_mode(default_mode)
     rng = np.random.default_rng(seed)
     for attempt in range(budget):
         instance = random_wcc_instance(rng, n, m, weight=weight, default_mode=default_mode)

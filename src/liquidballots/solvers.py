@@ -11,7 +11,14 @@ Three ways to hunt for a point with small residual ``f(x) - x``:
 * ``grid_oracle``: exhaustively scan all feasible matrices whose bundle
   slices lie on a rational grid.  Exponential in the free dimensions but
   complete on the grid: it can rule out every grid point as a weak
-  approximate fixed point, though not the matrices between them.
+  approximate fixed point, though not the matrices between them.  The
+  scan factorises: each delegated slice is scored on a table over its
+  scope (itself and the delegate's slices that share a column with it),
+  and a grid point's residual is the max of its table entries.  The cost
+  is the sum of the table sizes plus one pass of broadcast max, not one
+  map evaluation per grid point; where the tables would hold as many
+  points as the grid, as when a scope reads every slice, the scan
+  evaluates every grid point in chunks instead.
 
 The first two are step rules of one loop, ``_track``, which records the
 ``(l1, linf)`` residual of every iterate and the best iterate so far.  It
@@ -24,6 +31,7 @@ because distances between solutions are naturally l1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -229,19 +237,105 @@ def _lex_smaller(a, b) -> bool:
     return af[idx[0]] < bf[idx[0]]
 
 
+def _matrices(base, slices, flat) -> np.ndarray:
+    """The grid matrices at the mixed-radix indices ``flat``.
+
+    ``slices`` holds ``(row, cols, values)`` triples, one digit each, the
+    last varying fastest; every other cell keeps its value in ``base``.
+    """
+    digits = np.asarray(flat, dtype=np.int64)
+    xs = np.broadcast_to(base, digits.shape + base.shape).copy()
+    for row, cols, values in reversed(slices):
+        digits, digit = np.divmod(digits, len(values))
+        xs[:, row, cols] = values[digit]
+    return xs
+
+
+def _evaluate(instance, base, slices, cells):
+    """Chunks ``(start, residuals)`` over every grid point of ``slices``.
+
+    ``residuals`` is the linf residual over ``cells``, an index into an
+    ``(n, m)`` matrix, of each grid point in a chunk of at most
+    ``_GRID_CHUNK`` matrices.  A one-matrix chunk is evaluated as a
+    stack of two: ``best_response`` sums a single matrix's slices
+    pairwise but a stack's left to right, and the scan must not depend
+    on where its chunks end.
+    """
+    size = math.prod(len(values) for *_, values in slices)
+    for start in range(0, size, _GRID_CHUNK):
+        xs = _matrices(base, slices, np.arange(start, min(start + _GRID_CHUNK, size)))
+        fx = best_response(xs if len(xs) > 1 else np.concatenate((xs, xs)), instance)
+        diff = fx[(slice(len(xs)),) + cells]
+        diff -= xs[(slice(None),) + cells]
+        yield start, np.abs(diff, out=diff).max(axis=tuple(range(1, diff.ndim)))
+
+
+def _combine(instance, base, enumerated, factors):
+    """Chunks ``(start, residuals)`` of the grid, as the max of factor tables.
+
+    ``factors`` maps a scope (slice positions, ascending) to the slices
+    whose cells it answers for.  Each table holds, for every grid point
+    of its scope with the other cells at ``base``, the largest residual
+    over its member cells; it gets one axis per grid digit, of length 1
+    outside the scope.  A chunk fixes the leading digits and broadcasts
+    the tables over the trailing ones.
+    """
+    radices = [len(values) for *_, values in enumerated]
+    tables = []
+    for scope, members in factors.items():
+        rows = np.concatenate([np.full(len(enumerated[p][1]), enumerated[p][0]) for p in members])
+        cols = np.concatenate([enumerated[p][1] for p in members])
+        chunks = _evaluate(instance, base, [enumerated[s] for s in scope], (rows, cols))
+        table = np.concatenate([residuals for _, residuals in chunks])
+        tables.append(table.reshape([r if s in scope else 1 for s, r in enumerate(radices)]))
+
+    lead = 0  # leading digits, fixed within a chunk
+    while math.prod(radices[lead:]) > _GRID_CHUNK:
+        lead += 1
+    trail = tuple(radices[lead:])
+    inner = math.prod(trail)
+    outer = math.prod(radices[:lead])
+    per_chunk = _GRID_CHUNK // inner
+    for first in range(0, outer, per_chunk):
+        stop = min(first + per_chunk, outer)
+        rest = np.arange(first, stop)
+        digits = []
+        for radix in reversed(radices[:lead]):
+            rest, digit = np.divmod(rest, radix)
+            digits.insert(0, digit)
+        residuals = np.zeros((stop - first,) + trail)
+        for table in tables:
+            index = tuple(d if table.shape[a] > 1 else 0 for a, d in enumerate(digits))
+            np.maximum(residuals, table[index], out=residuals)
+        yield first * inner, residuals.reshape(-1)
+
+
 def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
     """Scan every feasible matrix on the rational grid.
 
     Each bundle slice of size k is enumerated as a composition of
     ``budget / resolution`` grid units into k cells, so slice sums match
-    budgets exactly.  The scan is complete: a grid point is a hit iff its
-    linf residual is at most ``cfg.tolerance``.
+    budgets exactly.  The scan is complete on the grid: a grid point is a
+    hit iff its linf residual is at most ``cfg.tolerance``.  It rules out
+    grid points only, not the matrices between them.
 
-    Cost grows exponentially with the free dimensions, so instances with
-    more than 8 of them (sum of bundle size minus one) are refused, as
-    are resolutions finer than 0.01 and delegated bundles whose budget is
-    not a whole number of grid units (within ``BUDGET_TOL``): no grid
-    point would be feasible for them.
+    The scan factorises.  A slice's residual depends only on its own
+    cells and on its delegate's cells in the same columns, so its scope
+    is the slice itself plus the delegate's enumerated slices that share
+    a column with it (DIRECT cells are fixed).  Slices with one scope
+    share a factor table, built by evaluating only the grid points of
+    the scope, and a grid point's residual is the max of the tables'
+    entries, taken by broadcasting.  The cost is the tables' grid points
+    plus one pass of broadcast max, not one map evaluation per grid
+    point.  When the tables together hold as many points as the grid,
+    as when one scope reads every slice, every grid point is evaluated
+    instead, in chunks of ``_GRID_CHUNK`` matrices.
+
+    Cost still grows exponentially with the free dimensions, so
+    instances with more than 8 of them (sum of bundle size minus one)
+    are refused, as are resolutions finer than 0.01 and delegated
+    bundles whose budget is not a whole number of grid units (within
+    ``BUDGET_TOL``): no grid point would be feasible for them.
     """
     free = instance.free_dimensions
     if free > 8:
@@ -253,6 +347,7 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
 
     res = cfg.grid_resolution
     enumerated = []  # (voter row, cols, value table), voter-then-bundle order
+    reads = []  # (delegate row, cols) of each enumerated slice
     for row, (voter, bundles) in enumerate(zip(instance.voters, instance.delegations)):
         for position, bundle in enumerate(bundles):
             if bundle.notion is Notion.DIRECT:
@@ -266,42 +361,41 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
             cols = [instance.candidate_index[c] for c in bundle.members]
             values = _compositions(int(round(units)), len(cols)).astype(float) * res
             enumerated.append((row, cols, values))
+            reads.append((instance.voter_index[bundle.delegate], set(cols)))
     base = initial_point(instance)  # DIRECT cells; the scan overwrites the rest
 
     radices = [len(values) for *_, values in enumerated]
-    total = 1
-    for r in radices:
-        total *= r
+    total = math.prod(radices)
+    factors = {}  # scope -> member slices
+    for p, (delegate, cols) in enumerate(reads):
+        scope = tuple(
+            q for q, (row, other, _) in enumerate(enumerated)
+            if q == p or (row == delegate and not cols.isdisjoint(other))
+        )
+        factors.setdefault(scope, []).append(p)
+    if sum(math.prod(radices[s] for s in scope) for scope in factors) < total:
+        chunks = _combine(instance, base, enumerated, factors)
+    else:
+        chunks = _evaluate(instance, base, enumerated, (slice(None), slice(None)))
 
     hits = []
     best = None
     best_residual = np.inf
-    for start in range(0, total, _GRID_CHUNK):
-        stop = min(start + _GRID_CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        xs = np.broadcast_to(base, (stop - start,) + base.shape).copy()
-        digits = flat
-        for (row, cols, values), radix in zip(reversed(enumerated), reversed(radices)):
-            digits, digit = np.divmod(digits, radix)
-            xs[:, row, cols] = values[digit]
-        diff = best_response(xs, instance)
-        diff -= xs
-        residuals = np.abs(diff, out=diff).max(axis=(1, 2))
-
-        for i in np.nonzero(residuals <= cfg.tolerance)[0]:
-            hits.append((xs[i].copy(), float(residuals[i])))
+    for start, residuals in chunks:
+        found = np.nonzero(residuals <= cfg.tolerance)[0]
+        hits.extend(zip(_matrices(base, enumerated, start + found), residuals[found].tolist()))
 
         chunk_argmin = int(residuals.argmin())
         chunk_min = residuals[chunk_argmin]
         if chunk_min < best_residual:
             best_residual = float(chunk_min)
-            best = xs[chunk_argmin].copy()
+            best = _matrices(base, enumerated, [start + chunk_argmin])[0]
             ties = np.nonzero(residuals == chunk_min)[0]
         else:
             ties = np.nonzero(residuals == best_residual)[0]
-        for i in ties:
-            if _lex_smaller(xs[i], best):
-                best = xs[i].copy()
+        for x in _matrices(base, enumerated, start + ties):
+            if _lex_smaller(x, best):
+                best = x.copy()
 
     return GridSearchResult(tuple(hits), best, float(best_residual), total)
 

@@ -134,6 +134,28 @@ def test_tolerance_must_be_finite_and_non_negative(tmp_path, epti_file, capsys, 
     assert "tolerance must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{epti}", "--max-iters", "-1"], "max-iters must be non-negative, got '-1'"),
+        (["solve", "{epti}", "--grid-resolution", "0.03"], "0.03 does not divide 1 exactly"),
+        (["solve", "{epti}", "--grid-resolution", "nan"], "grid_resolution must lie in (0, 1]"),
+        (["search", "contraction-violation", "--n", "0"], "n must be at least 1, got '0'"),
+        (["search", "contraction-violation", "--m", "0"], "m must be at least 1, got '0'"),
+        (["search", "contraction-violation", "--budget", "-3"], "budget must be non-negative"),
+        (["search", "contraction-violation", "--seed", "-1"], "seed must be non-negative"),
+        (["search", "contraction-violation", "--weight", "nan"], "weight must be finite and positive"),
+        (["search", "contraction-violation", "--weight", "0"], "weight must be finite and positive"),
+        (["search", "contraction-violation", "--n", "x"], "invalid int value: 'x'"),
+    ],
+)
+def test_numeric_options_are_usage_errors(epti_file, capsys, argv, message):
+    assert run_cli([arg.format(epti=epti_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "status:" not in captured.out and "witness" not in captured.err
+
+
 def test_export_qcqp_prints_or_refuses(epti_file, ept_file, capsys):
     assert run_cli(["export-qcqp", epti_file]) == 0
     out = capsys.readouterr().out

@@ -172,6 +172,25 @@ def test_unknown_kind_is_rejected():
         search_violation("fixed-point-shortage", n=2, m=2)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: search_violation("non-uniqueness", n=0, budget=1), "n"),
+        (lambda: search_violation("non-uniqueness", m=0, budget=1), "m"),
+        (lambda: search_violation("non-uniqueness", budget=-3), "budget"),
+        (lambda: search_violation("non-uniqueness", seed=-1, budget=1), "seed"),
+        (lambda: search_violation("non-uniqueness", weight=float("nan"), budget=1), "weight"),
+        (lambda: search_violation("non-uniqueness", weight=float("inf"), budget=1), "weight"),
+        (lambda: search_violation("non-uniqueness", weight=0.0, budget=1), "weight"),
+        (lambda: search_violation("non-uniqueness", default_mode="bogus", budget=0), "default_mode"),
+        (lambda: random_wcc_instance(np.random.default_rng(0), 1, 3, default_mode="bogus"), "default_mode"),
+    ],
+)
+def test_search_arguments_are_checked(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
 def test_findings_round_trip_through_files(tmp_path):
     finding = search_violation("contraction-violation", n=4, m=3, seed=7, budget=30)
     path = tmp_path / "finding.json"

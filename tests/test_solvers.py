@@ -3,9 +3,14 @@
 ``reference_simple_iteration`` and ``reference_residual_descent`` are the
 two solvers as they were written before they shared one loop, each with
 its own residual bookkeeping; ``solve`` must match them bit for bit.
+``reference_grid_oracle`` is the grid scan as it was before it
+factorised, evaluating every grid point; ``grid_oracle`` must match it
+bit for bit.
 """
 
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from test_gradient import continuous
 from test_grouped_plan import mixed_instance
 
 from liquidballots import (
+    GridSearchResult,
     Notion,
     SolveReport,
     SolverConfig,
@@ -27,7 +33,7 @@ from liquidballots import (
     solve,
     solvers,
 )
-from liquidballots.model import Bundle, ElectionInstance, project_to_feasible
+from liquidballots.model import BUDGET_TOL, Bundle, ElectionInstance, project_to_feasible
 from liquidballots.response import _residual_gradient, residual_norms
 
 EPTI = fixtures.crossed_thresholds(Notion.EP_TI)
@@ -471,3 +477,273 @@ def test_descent_stops_when_the_step_underflows(monkeypatch):
     assert (rep.status, rep.iterations, len(rep.trajectory)) == ("max-iterations", 0, 1)
     assert len(calls) == 1 + 46
     assert report_bits(rep) == report_bits(reference_residual_descent(EPTI, x0, cfg))
+
+
+#: Matrices per chunk of ``reference_grid_oracle``: every grid of the
+#: differential tests fits in one stack, whatever ``solvers._GRID_CHUNK``.
+REFERENCE_CHUNK = 100_000
+
+
+def reference_grid_oracle(instance, cfg):
+    """The grid scan before it factorised: every grid point is built and
+    evaluated, in chunks of ``REFERENCE_CHUNK`` matrices."""
+    free = instance.free_dimensions
+    if free > 8:
+        raise ValueError(
+            f"instance has {free} free dimensions, grid oracle supports at most 8"
+        )
+    if cfg.grid_resolution < 0.01 - 1e-12:
+        raise ValueError("grid resolutions finer than 0.01 are not supported")
+
+    res = cfg.grid_resolution
+    enumerated = []  # (voter row, cols, value table), voter-then-bundle order
+    for row, (voter, bundles) in enumerate(zip(instance.voters, instance.delegations)):
+        for position, bundle in enumerate(bundles):
+            if bundle.notion is Notion.DIRECT:
+                continue
+            units = bundle.budget / res
+            if abs(units - round(units)) > BUDGET_TOL:
+                raise ValueError(
+                    f"voter {voter!r} bundle {position}: budget {bundle.budget!r} "
+                    f"is not a multiple of the grid resolution {res!r}"
+                )
+            cols = [instance.candidate_index[c] for c in bundle.members]
+            values = solvers._compositions(int(round(units)), len(cols)).astype(float) * res
+            enumerated.append((row, cols, values))
+    base = initial_point(instance)  # DIRECT cells; the scan overwrites the rest
+
+    radices = [len(values) for *_, values in enumerated]
+    total = 1
+    for r in radices:
+        total *= r
+
+    hits = []
+    best = None
+    best_residual = np.inf
+    for start in range(0, total, REFERENCE_CHUNK):
+        stop = min(start + REFERENCE_CHUNK, total)
+        flat = np.arange(start, stop, dtype=np.int64)
+        xs = np.broadcast_to(base, (stop - start,) + base.shape).copy()
+        digits = flat
+        for (row, cols, values), radix in zip(reversed(enumerated), reversed(radices)):
+            digits, digit = np.divmod(digits, radix)
+            xs[:, row, cols] = values[digit]
+        diff = best_response(xs, instance)
+        diff -= xs
+        residuals = np.abs(diff, out=diff).max(axis=(1, 2))
+
+        for i in np.nonzero(residuals <= cfg.tolerance)[0]:
+            hits.append((xs[i].copy(), float(residuals[i])))
+
+        chunk_argmin = int(residuals.argmin())
+        chunk_min = residuals[chunk_argmin]
+        if chunk_min < best_residual:
+            best_residual = float(chunk_min)
+            best = xs[chunk_argmin].copy()
+            ties = np.nonzero(residuals == chunk_min)[0]
+        else:
+            ties = np.nonzero(residuals == best_residual)[0]
+        for i in ties:
+            if solvers._lex_smaller(xs[i], best):
+                best = xs[i].copy()
+
+    return GridSearchResult(tuple(hits), best, float(best_residual), total)
+
+
+def assert_same_scan(got, want):
+    assert got.points == want.points
+    assert len(got.hits) == len(want.hits)
+    for (x, r), (y, s) in zip(got.hits, want.hits):
+        assert x.tobytes() == y.tobytes()
+        assert r == s
+    assert got.best_residual == want.best_residual
+    assert got.best.tobytes() == want.best.tobytes()
+
+
+def fan_in(first, second):
+    """v's two bundles both read u's three-member slice; u reads the guru g.
+
+    u can put its whole budget on c3, which leaves v's first bundle with
+    zero support.  At resolution 0.25 the support of either bundle of v
+    lands exactly on 0.5, the threshold ``1 / weight`` of EP-T and EP-TI.
+    """
+
+    def bundle(members, budget, delegate, notion):
+        if notion is Notion.EP:
+            return Bundle(members, budget, delegate, notion)
+        default = (budget,) + (0.0,) * (len(members) - 1)
+        return Bundle(members, budget, delegate, notion, 2.0, default)
+
+    def direct(voter, budgets):
+        return tuple(
+            Bundle((c,), b, voter, Notion.DIRECT) for c, b in zip(("c1", "c2", "c3", "c4"), budgets)
+        )
+
+    return ElectionInstance(
+        ("c1", "c2", "c3", "c4"),
+        ("v", "u", "g"),
+        (
+            (bundle(("c1", "c2"), 0.5, "u", first), bundle(("c3", "c4"), 0.5, "u", second)),
+            (bundle(("c1", "c2", "c3"), 0.75, "g", Notion.EP_TI), Bundle(("c4",), 0.25, "u", Notion.DIRECT)),
+            direct("g", (0.25, 0.0, 0.5, 0.25)),
+        ),
+    )
+
+
+def two_pairs():
+    """Voters v1, u1 delegate {c1, c2} to each other, v2, u2 {c3, c4}: two
+    independent factors, each shared by both slices of its pair."""
+
+    def direct(voter, members, budgets):
+        return tuple(Bundle((c,), b, voter, Notion.DIRECT) for c, b in zip(members, budgets))
+
+    low, high = ("c1", "c2"), ("c3", "c4")
+    return ElectionInstance(
+        low + high,
+        ("v1", "u1", "v2", "u2"),
+        (
+            (Bundle(low, 0.5, "u1", Notion.EP),) + direct("v1", high, (0.25, 0.25)),
+            (Bundle(low, 0.5, "v1", Notion.EP_TI, 2.5, (0.0, 0.5)),) + direct("u1", high, (0.5, 0.0)),
+            direct("v2", low, (0.5, 0.0)) + (Bundle(high, 0.5, "u2", Notion.EP_T, 1.25, (0.5, 0.0)),),
+            direct("u2", low, (0.1, 0.4)) + (Bundle(high, 0.5, "v2", Notion.WCC, 2.0, (0.25, 0.25)),),
+        ),
+    )
+
+
+def wide_bundle(k, pair=False):
+    """v resolves one k-member WCC bundle against the guru g's direct votes.
+
+    Sums of ``k >= 8`` members depend on their order: for k = 8 and 9 the
+    residual of the last grid point at resolution 0.5 changes in its last
+    bit when that matrix is evaluated alone.  With ``pair``, w adds a
+    two-member EP slice of its own scope.
+    """
+    members = tuple(f"c{i}" for i in range(k))
+    weights = np.arange(1.0, k + 1) ** 3
+    guru = tuple(
+        Bundle((c,), b, "g", Notion.DIRECT) for c, b in zip(members, weights / weights.sum())
+    )
+    default = (0.0,) * (k - 2) + (0.5, 0.5)
+    rows = [(Bundle(members, 1.0, "g", Notion.WCC, 6.0, default),), guru]
+    voters = ["v", "g"]
+    if pair:
+        rows.append(
+            (Bundle(members[:2], 0.5, "g", Notion.EP), Bundle(members[2:3], 0.5, "w", Notion.DIRECT))
+            + tuple(Bundle((c,), 0.0, "w", Notion.DIRECT) for c in members[3:])
+        )
+        voters.append("w")
+    return ElectionInstance(members, tuple(voters), tuple(rows))
+
+
+def symmetric_triples():
+    """v and u delegate {c1, c2, c3} to each other under EP: one scope
+    reads every slice."""
+    members = ("c1", "c2", "c3")
+    return ElectionInstance(
+        members,
+        ("v", "u"),
+        ((Bundle(members, 1.0, "u", Notion.EP),), (Bundle(members, 1.0, "v", Notion.EP),)),
+    )
+
+
+GRID_CASES = [
+    pytest.param(EPT, 0.01, 0.05, id="crossed-ep-t-0.05"),
+    pytest.param(EPT, 0.01, 0.02, id="crossed-ep-t-0.02"),
+    pytest.param(EPTI, 0.01, 0.05, id="crossed-ep-ti-0.05"),
+    pytest.param(EPTI, 0.01, 0.02, id="crossed-ep-ti-0.02"),
+    pytest.param(symmetric_ep_pair(), 1e-9, 0.5, id="symmetric-ep-pair"),
+    pytest.param(interleaved_groups(), 0.25, 0.25, id="interleaved-groups"),
+    pytest.param(fan_in(Notion.EP, Notion.EP), 0.3, 0.25, id="ep-zero-support"),
+    pytest.param(fan_in(Notion.EP_T, Notion.EP_TI), 0.3, 0.25, id="thresholds-met-exactly"),
+    pytest.param(two_pairs(), 0.05, 0.05, id="disjoint-scopes"),
+    pytest.param(symmetric_triples(), 1e-9, 0.1, id="full-scope"),
+    pytest.param(wide_bundle(9), 1.0, 0.5, id="nine-member-bundle"),
+    pytest.param(wide_bundle(8, pair=True), 1.0, 0.5, id="eight-member-bundle-and-pair"),
+]
+
+
+@pytest.mark.parametrize("instance, tolerance, resolution", GRID_CASES)
+def test_grid_scan_matches_the_reference(instance, tolerance, resolution):
+    cfg = SolverConfig(tolerance=tolerance, grid_resolution=resolution)
+    assert_same_scan(grid_oracle(instance, cfg), reference_grid_oracle(instance, cfg))
+
+
+def test_grid_scan_matches_the_reference_on_mixed_elections(monkeypatch):
+    factorised = []
+    combine = solvers._combine
+    monkeypatch.setattr(solvers, "_combine", lambda *args: factorised.append(1) or combine(*args))
+    rng = np.random.default_rng(12)
+    compared = refused = 0
+    while compared < 40:
+        instance = mixed_instance(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+        if instance.free_dimensions > 5:
+            continue
+        cfg = SolverConfig(tolerance=0.05, grid_resolution=(0.25, 0.1)[compared % 2])
+        try:
+            want = reference_grid_oracle(instance, cfg)
+        except ValueError as exc:  # a budget off the grid
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                grid_oracle(instance, cfg)
+            refused += 1
+            continue
+        assert_same_scan(grid_oracle(instance, cfg), want)
+        compared += 1
+    assert refused and 0 < len(factorised) < compared  # both ways of scanning
+
+
+def counted_stacks(monkeypatch):
+    """Record the stack length of every ``best_response`` call of the scan."""
+    stacks = []
+
+    def counted(xs, instance):
+        stacks.append(len(xs))
+        return best_response(xs, instance)
+
+    monkeypatch.setattr(solvers, "best_response", counted)
+    return stacks
+
+
+def test_grid_scan_evaluates_only_the_factor_tables(monkeypatch):
+    stacks = counted_stacks(monkeypatch)
+    result = grid_oracle(two_pairs(), SolverConfig(tolerance=0.05, grid_resolution=0.05))
+    assert result.points == 11 ** 4
+    assert sorted(stacks) == [11 ** 2, 11 ** 2]  # one table per pair
+
+    stacks.clear()
+    grid_oracle(EPT, SolverConfig(tolerance=0.01, grid_resolution=0.02))
+    assert stacks == [26 ** 3] * 4  # each of the 4 scopes reads 3 of the 4 slices
+
+    stacks.clear()
+    result = grid_oracle(symmetric_triples(), SolverConfig(tolerance=1e-9, grid_resolution=0.1))
+    assert stacks == [result.points] == [66 ** 2]  # full scope: every grid point
+
+
+@pytest.mark.parametrize("chunk", [2, 5, 44])
+def test_grid_scan_does_not_depend_on_where_chunks_end(monkeypatch, chunk):
+    # the 9-member scan has 45 grid points, the 8-member table 36 and
+    # the pair's table 3: each chunk size leaves one of them a last
+    # chunk of one matrix
+    stacks = counted_stacks(monkeypatch)
+    monkeypatch.setattr(solvers, "_GRID_CHUNK", chunk)
+    cfg = SolverConfig(tolerance=1.0, grid_resolution=0.5)
+    for instance in (wide_bundle(9), wide_bundle(8, pair=True), symmetric_ep_pair()):
+        assert_same_scan(grid_oracle(instance, cfg), reference_grid_oracle(instance, cfg))
+    assert min(stacks) >= 2
+
+
+def test_full_scope_scan_peaks_no_higher_than_the_reference():
+    instance = symmetric_triples()
+    cfg = SolverConfig(tolerance=1e-9, grid_resolution=0.02)
+
+    def traced(scan):
+        tracemalloc.start()
+        try:
+            return scan(instance, cfg), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got, peak = traced(grid_oracle)
+    want, reference_peak = traced(reference_grid_oracle)
+    assert got.points == 1326 ** 2 >= 10 ** 6
+    assert_same_scan(got, want)
+    assert peak <= 1.1 * reference_peak
