@@ -378,7 +378,9 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
 
 
 def _as_matrix(instance, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    # C order, so that row sums of 8 or more cells are summed pairwise
+    # whatever the caller's layout, and verdicts at the bound agree
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (instance.n, instance.m):
         raise ValueError(
             f"solution shape {x.shape} does not match instance "

@@ -12,13 +12,12 @@ Three ways to hunt for a point with small residual ``f(x) - x``:
   slices lie on a rational grid.  Exponential in the free dimensions but
   complete on the grid: it can rule out every grid point as a weak
   approximate fixed point, though not the matrices between them.  The
-  scan factorises: each delegated slice is scored on a table over its
-  scope (itself and the delegate's slices that share a column with it),
-  and a grid point's residual is the max of its table entries.  The cost
-  is the sum of the table sizes plus one pass of broadcast max, not one
-  map evaluation per grid point; where the tables would hold as many
-  points as the grid, as when a scope reads every slice, the scan
-  evaluates every grid point in chunks instead.
+  scan factorises: each delegated slice's response is tabulated over its
+  delegate scope (the delegate's slices that share a column with it),
+  and a grid point's residual is the max over slices of the distance
+  from the tabulated response to the slice's own cells.  The cost is the
+  sum of the table sizes plus one broadcast pass over the grid, not one
+  map evaluation per grid point.
 
 The first two are step rules of one loop, ``_track``, which records the
 ``(l1, linf)`` residual of every iterate and the best iterate so far.  It
@@ -43,7 +42,7 @@ from .model import (
     is_feasible,
     project_to_feasible,
 )
-from .response import _residual_gradient, best_response, residual_norms
+from .response import _preimage, _residual_gradient, best_response, residual_norms
 
 #: First trial step of each descent line search, and the factor that
 #: backtracking multiplies it by.
@@ -251,43 +250,50 @@ def _matrices(base, slices, flat) -> np.ndarray:
     return xs
 
 
-def _evaluate(instance, base, slices, cells):
-    """Chunks ``(start, residuals)`` over every grid point of ``slices``.
+def _residuals(instance, base, enumerated, delegated):
+    """Chunks ``(start, residuals)`` of the grid's linf residuals, in scan order.
 
-    ``residuals`` is the linf residual over ``cells``, an index into an
-    ``(n, m)`` matrix, of each grid point in a chunk of at most
-    ``_GRID_CHUNK`` matrices.  A one-matrix chunk is evaluated as a
-    stack of two: ``best_response`` sums a single matrix's slices
-    pairwise but a stack's left to right, and the scan must not depend
-    on where its chunks end.
-    """
-    size = math.prod(len(values) for *_, values in slices)
-    for start in range(0, size, _GRID_CHUNK):
-        xs = _matrices(base, slices, np.arange(start, min(start + _GRID_CHUNK, size)))
-        fx = best_response(xs if len(xs) > 1 else np.concatenate((xs, xs)), instance)
-        diff = fx[(slice(len(xs)),) + cells]
-        diff -= xs[(slice(None),) + cells]
-        yield start, np.abs(diff, out=diff).max(axis=tuple(range(1, diff.ndim)))
-
-
-def _combine(instance, base, enumerated, factors):
-    """Chunks ``(start, residuals)`` of the grid, as the max of factor tables.
-
-    ``factors`` maps a scope (slice positions, ascending) to the slices
-    whose cells it answers for.  Each table holds, for every grid point
-    of its scope with the other cells at ``base``, the largest residual
-    over its member cells; it gets one axis per grid digit, of length 1
-    outside the scope.  A chunk fixes the leading digits and broadcasts
-    the tables over the trailing ones.
+    ``delegated`` holds each slice's ``(delegate row, bundle)``.  Slices
+    with one delegate scope share one table of responses at the scope's
+    grid points, evaluated in chunks of ``_GRID_CHUNK`` matrices; a
+    one-matrix chunk is evaluated as a stack of two, because
+    ``best_response`` sums a single matrix's slices pairwise but a
+    stack's left to right.  Each cell's responses get one axis per grid
+    digit, of length 1 outside the scope, and its own values one axis at
+    its slice's digit.  A chunk of the scan fixes the leading digits,
+    broadcasts over the trailing ones and folds ``|f - x|`` into a
+    running max cell by cell.
     """
     radices = [len(values) for *_, values in enumerated]
-    tables = []
-    for scope, members in factors.items():
-        rows = np.concatenate([np.full(len(enumerated[p][1]), enumerated[p][0]) for p in members])
-        cols = np.concatenate([enumerated[p][1] for p in members])
-        chunks = _evaluate(instance, base, [enumerated[s] for s in scope], (rows, cols))
-        table = np.concatenate([residuals for _, residuals in chunks])
-        tables.append(table.reshape([r if s in scope else 1 for s, r in enumerate(radices)]))
+    scopes = {}  # delegate scope -> member slices
+    for p, (delegate, _) in enumerate(delegated):
+        cols = set(enumerated[p][1])
+        scope = tuple(
+            q for q, (row, other, _) in enumerate(enumerated)
+            if row == delegate and not cols.isdisjoint(other)
+        )
+        scopes.setdefault(scope, []).append(p)
+    cells = []  # (responses, own values) of each enumerated cell
+    for scope, members in scopes.items():
+        slices = [enumerated[s] for s in scope]
+        size = math.prod(radices[s] for s in scope)
+        tables = {p: np.empty((size, len(enumerated[p][1]))) for p in members}
+        for start in range(0, size, _GRID_CHUNK):
+            xs = _matrices(base, slices, np.arange(start, min(start + _GRID_CHUNK, size)))
+            fx = best_response(xs if len(xs) > 1 else np.concatenate((xs, xs)), instance)
+            for p, table in tables.items():
+                (row, cols, _), (delegate, bundle) = enumerated[p], delegated[p]
+                response = fx[: len(xs), row, cols]
+                if bundle.notion is Notion.EP:
+                    # no delegate support: the slice keeps its own cells, so
+                    # its residual is 0; NaN marks it for np.fmax to skip
+                    supported = _preimage(bundle, xs[:, delegate, cols])[1] > 0.0
+                    response = np.where(supported, response, np.nan)
+                table[start : start + len(xs)] = response
+        shape = [r if a in scope else 1 for a, r in enumerate(radices)]
+        for p, table in tables.items():
+            own = [r if a == p else 1 for a, r in enumerate(radices)]
+            cells.extend(zip(table.T.reshape([-1] + shape), enumerated[p][2].T.reshape([-1] + own)))
 
     lead = 0  # leading digits, fixed within a chunk
     while math.prod(radices[lead:]) > _GRID_CHUNK:
@@ -303,10 +309,14 @@ def _combine(instance, base, enumerated, factors):
         for radix in reversed(radices[:lead]):
             rest, digit = np.divmod(rest, radix)
             digits.insert(0, digit)
+
+        def at(table):
+            return tuple(d if table.shape[a] > 1 else 0 for a, d in enumerate(digits))
+
         residuals = np.zeros((stop - first,) + trail)
-        for table in tables:
-            index = tuple(d if table.shape[a] > 1 else 0 for a, d in enumerate(digits))
-            np.maximum(residuals, table[index], out=residuals)
+        for responses, values in cells:
+            diff = responses[at(responses)] - values[at(values)]
+            np.fmax(residuals, np.abs(diff), out=residuals)
         yield first * inner, residuals.reshape(-1)
 
 
@@ -319,17 +329,15 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
     hit iff its linf residual is at most ``cfg.tolerance``.  It rules out
     grid points only, not the matrices between them.
 
-    The scan factorises.  A slice's residual depends only on its own
-    cells and on its delegate's cells in the same columns, so its scope
-    is the slice itself plus the delegate's enumerated slices that share
-    a column with it (DIRECT cells are fixed).  Slices with one scope
-    share a factor table, built by evaluating only the grid points of
-    the scope, and a grid point's residual is the max of the tables'
-    entries, taken by broadcasting.  The cost is the tables' grid points
-    plus one pass of broadcast max, not one map evaluation per grid
-    point.  When the tables together hold as many points as the grid,
-    as when one scope reads every slice, every grid point is evaluated
-    instead, in chunks of ``_GRID_CHUNK`` matrices.
+    The scan factorises.  A slice's response depends only on its
+    delegate's cells in its columns: fixed DIRECT cells and the
+    delegate's enumerated slices that share a column with it (its
+    delegate scope).  Slices with one delegate scope share one table of
+    responses over that scope's grid points, and a grid point's residual
+    is the max over slices of the distance from the tabulated response
+    to the slice's own cells, taken by broadcasting.  The cost is the
+    tables' grid points plus one broadcast pass, not one map evaluation
+    per grid point.
 
     Cost still grows exponentially with the free dimensions, so
     instances with more than 8 of them (sum of bundle size minus one)
@@ -347,7 +355,7 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
 
     res = cfg.grid_resolution
     enumerated = []  # (voter row, cols, value table), voter-then-bundle order
-    reads = []  # (delegate row, cols) of each enumerated slice
+    delegated = []  # (delegate row, bundle) of each enumerated slice
     for row, (voter, bundles) in enumerate(zip(instance.voters, instance.delegations)):
         for position, bundle in enumerate(bundles):
             if bundle.notion is Notion.DIRECT:
@@ -361,27 +369,13 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
             cols = [instance.candidate_index[c] for c in bundle.members]
             values = _compositions(int(round(units)), len(cols)).astype(float) * res
             enumerated.append((row, cols, values))
-            reads.append((instance.voter_index[bundle.delegate], set(cols)))
+            delegated.append((instance.voter_index[bundle.delegate], bundle))
     base = initial_point(instance)  # DIRECT cells; the scan overwrites the rest
-
-    radices = [len(values) for *_, values in enumerated]
-    total = math.prod(radices)
-    factors = {}  # scope -> member slices
-    for p, (delegate, cols) in enumerate(reads):
-        scope = tuple(
-            q for q, (row, other, _) in enumerate(enumerated)
-            if q == p or (row == delegate and not cols.isdisjoint(other))
-        )
-        factors.setdefault(scope, []).append(p)
-    if sum(math.prod(radices[s] for s in scope) for scope in factors) < total:
-        chunks = _combine(instance, base, enumerated, factors)
-    else:
-        chunks = _evaluate(instance, base, enumerated, (slice(None), slice(None)))
 
     hits = []
     best = None
     best_residual = np.inf
-    for start, residuals in chunks:
+    for start, residuals in _residuals(instance, base, enumerated, delegated):
         found = np.nonzero(residuals <= cfg.tolerance)[0]
         hits.extend(zip(_matrices(base, enumerated, start + found), residuals[found].tolist()))
 
@@ -397,7 +391,8 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
             if _lex_smaller(x, best):
                 best = x.copy()
 
-    return GridSearchResult(tuple(hits), best, float(best_residual), total)
+    points = math.prod(len(values) for *_, values in enumerated)
+    return GridSearchResult(tuple(hits), best, float(best_residual), points)
 
 
 STRATEGIES = ("iterate", "descent", "iterate-then-descent", "grid")

@@ -590,9 +590,24 @@ def fan_in(first, second):
     )
 
 
+def zero_support():
+    """v delegates {c1, c2} to u under EP, and u votes all of its budget on
+    c3 directly: v's delegate never supports the bundle, so v keeps
+    whatever split it holds and every grid point is a fixed point."""
+    members = ("c1", "c2", "c3")
+    return ElectionInstance(
+        members,
+        ("v", "u"),
+        (
+            (Bundle(members[:2], 1.0, "u", Notion.EP), Bundle(members[2:], 0.0, "v", Notion.DIRECT)),
+            tuple(Bundle((c,), b, "u", Notion.DIRECT) for c, b in zip(members, (0.0, 0.0, 1.0))),
+        ),
+    )
+
+
 def two_pairs():
-    """Voters v1, u1 delegate {c1, c2} to each other, v2, u2 {c3, c4}: two
-    independent factors, each shared by both slices of its pair."""
+    """Voters v1, u1 delegate {c1, c2} to each other, v2, u2 {c3, c4}: each
+    slice's delegate scope is the other slice of its pair."""
 
     def direct(voter, members, budgets):
         return tuple(Bundle((c,), b, voter, Notion.DIRECT) for c, b in zip(members, budgets))
@@ -635,9 +650,24 @@ def wide_bundle(k, pair=False):
     return ElectionInstance(members, tuple(voters), tuple(rows))
 
 
+def one_member_slice():
+    """v delegates {c1} and {c2, c3} to the guru g: the one-member slice
+    has a single grid point and reads only DIRECT cells, so its cell is
+    the same at every grid point."""
+    members = ("c1", "c2", "c3")
+    return ElectionInstance(
+        members,
+        ("v", "g"),
+        (
+            (Bundle(members[:1], 0.5, "g", Notion.EP), Bundle(members[1:], 0.5, "g", Notion.EP)),
+            tuple(Bundle((c,), b, "g", Notion.DIRECT) for c, b in zip(members, (0.5, 0.25, 0.25))),
+        ),
+    )
+
+
 def symmetric_triples():
-    """v and u delegate {c1, c2, c3} to each other under EP: one scope
-    reads every slice."""
+    """v and u delegate {c1, c2, c3} to each other under EP: a slice and
+    its delegate scope together span the whole grid."""
     members = ("c1", "c2", "c3")
     return ElectionInstance(
         members,
@@ -655,6 +685,7 @@ GRID_CASES = [
     pytest.param(interleaved_groups(), 0.25, 0.25, id="interleaved-groups"),
     pytest.param(fan_in(Notion.EP, Notion.EP), 0.3, 0.25, id="ep-zero-support"),
     pytest.param(fan_in(Notion.EP_T, Notion.EP_TI), 0.3, 0.25, id="thresholds-met-exactly"),
+    pytest.param(zero_support(), 1e-9, 0.25, id="ep-zero-support-alone"),
     pytest.param(two_pairs(), 0.05, 0.05, id="disjoint-scopes"),
     pytest.param(symmetric_triples(), 1e-9, 0.1, id="full-scope"),
     pytest.param(wide_bundle(9), 1.0, 0.5, id="nine-member-bundle"),
@@ -668,10 +699,7 @@ def test_grid_scan_matches_the_reference(instance, tolerance, resolution):
     assert_same_scan(grid_oracle(instance, cfg), reference_grid_oracle(instance, cfg))
 
 
-def test_grid_scan_matches_the_reference_on_mixed_elections(monkeypatch):
-    factorised = []
-    combine = solvers._combine
-    monkeypatch.setattr(solvers, "_combine", lambda *args: factorised.append(1) or combine(*args))
+def test_grid_scan_matches_the_reference_on_mixed_elections():
     rng = np.random.default_rng(12)
     compared = refused = 0
     while compared < 40:
@@ -688,7 +716,7 @@ def test_grid_scan_matches_the_reference_on_mixed_elections(monkeypatch):
             continue
         assert_same_scan(grid_oracle(instance, cfg), want)
         compared += 1
-    assert refused and 0 < len(factorised) < compared  # both ways of scanning
+    assert refused
 
 
 def counted_stacks(monkeypatch):
@@ -703,30 +731,37 @@ def counted_stacks(monkeypatch):
     return stacks
 
 
-def test_grid_scan_evaluates_only_the_factor_tables(monkeypatch):
+def test_grid_scan_evaluates_only_the_response_tables(monkeypatch):
     stacks = counted_stacks(monkeypatch)
     result = grid_oracle(two_pairs(), SolverConfig(tolerance=0.05, grid_resolution=0.05))
     assert result.points == 11 ** 4
-    assert sorted(stacks) == [11 ** 2, 11 ** 2]  # one table per pair
+    assert stacks == [11] * 4  # each slice reads the other slice of its pair
 
     stacks.clear()
     grid_oracle(EPT, SolverConfig(tolerance=0.01, grid_resolution=0.02))
-    assert stacks == [26 ** 3] * 4  # each of the 4 scopes reads 3 of the 4 slices
+    assert stacks == [26 ** 2] * 2  # each voter's two slices read both of the other's
 
     stacks.clear()
     result = grid_oracle(symmetric_triples(), SolverConfig(tolerance=1e-9, grid_resolution=0.1))
-    assert stacks == [result.points] == [66 ** 2]  # full scope: every grid point
+    assert result.points == 66 ** 2
+    assert stacks == [66, 66]  # one table per voter, not one map per grid point
 
 
 @pytest.mark.parametrize("chunk", [2, 5, 44])
 def test_grid_scan_does_not_depend_on_where_chunks_end(monkeypatch, chunk):
-    # the 9-member scan has 45 grid points, the 8-member table 36 and
-    # the pair's table 3: each chunk size leaves one of them a last
-    # chunk of one matrix
+    # the wide bundles' tables hold one point each (their delegate votes
+    # directly) and symmetric_ep_pair's three, so at chunk size 2 they
+    # end in a chunk of one matrix; at chunk size 2 every digit of
+    # one_member_slice's scan is a leading one
     stacks = counted_stacks(monkeypatch)
     monkeypatch.setattr(solvers, "_GRID_CHUNK", chunk)
-    cfg = SolverConfig(tolerance=1.0, grid_resolution=0.5)
-    for instance in (wide_bundle(9), wide_bundle(8, pair=True), symmetric_ep_pair()):
+    for instance, resolution in (
+        (wide_bundle(9), 0.5),
+        (wide_bundle(8, pair=True), 0.5),
+        (symmetric_ep_pair(), 0.5),
+        (one_member_slice(), 0.25),
+    ):
+        cfg = SolverConfig(tolerance=1.0, grid_resolution=resolution)
         assert_same_scan(grid_oracle(instance, cfg), reference_grid_oracle(instance, cfg))
     assert min(stacks) >= 2
 
