@@ -1,0 +1,181 @@
+"""The bundles of an instance document as columns, and what is read off them.
+
+``io.instance_from_doc`` collects a document's bundles into a
+``BundleColumns`` record, and the instance it returns carries the
+record: ``validate_instance`` checks it column by column, the grouped
+plan is cut from it, and the ``Bundle`` view is built from it on first
+use.  ``io`` imports this module on its first parse, so importing the
+package does not compile it.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .model import WEIGHTED_NOTIONS, Bundle, Notion, _BundleGroup, _exact_sum
+
+#: Notions by code: ``BundleColumns.notion`` holds positions in this tuple.
+NOTIONS = tuple(Notion)
+NOTION_CODES = {notion.value: code for code, notion in enumerate(NOTIONS)}
+DIRECT = NOTIONS.index(Notion.DIRECT)
+WEIGHTED = [NOTIONS.index(notion) for notion in WEIGHTED_NOTIONS]
+
+
+class BundleColumns(NamedTuple):
+    """The bundles of an instance read from a document, one array per field.
+
+    Entry ``b`` of each per-bundle array describes the ``b``-th bundle in
+    voter-then-bundle order: ``voter`` is its voter's row, ``delegate``
+    its delegate's row (-1 for a name that is no voter's), ``notion`` its
+    position in ``NOTIONS``, ``size`` its member count, ``budget`` and
+    ``weight`` its numbers (NaN weight where the record has none, as
+    ``has_weight`` tells), ``default_size`` its default's length (-1
+    where it has none).  ``cols`` holds the members' columns (-1 for a
+    name that is no candidate's) and ``default`` the default entries,
+    bundle after bundle.  ``members`` and ``delegates`` keep the names
+    for the ``Bundle`` view.
+    """
+
+    voter: np.ndarray
+    delegate: np.ndarray
+    notion: np.ndarray
+    size: np.ndarray
+    budget: np.ndarray
+    weight: np.ndarray
+    has_weight: np.ndarray
+    default_size: np.ndarray
+    cols: np.ndarray
+    default: np.ndarray
+    members: list[str]
+    delegates: list[str]
+
+    def bundles(self, n) -> tuple[tuple[Bundle, ...], ...]:
+        """The bundles of each of the ``n`` voters, as ``Bundle`` objects.
+
+        Every field already has the type ``Bundle.__post_init__`` gives it
+        (a tuple of names, Python floats, a ``Notion``), so the objects
+        are filled in directly rather than through the constructor.
+        """
+        members, default = self.members, self.default.tolist()
+        flat = []
+        at = default_at = 0
+        for budget, delegate, code, weight, has_weight, k, dk in zip(
+            self.budget.tolist(),
+            self.delegates,
+            self.notion.tolist(),
+            self.weight.tolist(),
+            self.has_weight.tolist(),
+            self.size.tolist(),
+            self.default_size.tolist(),
+        ):
+            bundle = object.__new__(Bundle)
+            bundle.__dict__.update(
+                members=tuple(members[at:at + k]),
+                budget=budget,
+                delegate=delegate,
+                notion=NOTIONS[code],
+                weight=weight if has_weight else None,
+                default=tuple(default[default_at:default_at + dk]) if dk >= 0 else None,
+            )
+            flat.append(bundle)
+            at += k
+            default_at += max(dk, 0)
+        ends = np.cumsum(np.bincount(self.voter, minlength=n)).tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip([0, *ends], ends))
+
+    def plan(self) -> tuple[_BundleGroup, ...] | None:
+        """``ElectionInstance._plan``, built from the columns.
+
+        ``None`` where compiling the ``Bundle`` view would fail or misalign
+        rows: an empty bundle, a name outside the election, a zero weight,
+        or a default whose length is not the bundle's.
+        """
+        k = self.size
+        has_default = self.default_size >= 0
+        if (
+            np.any(k == 0)
+            or np.any(self.delegate < 0)
+            or np.any(self.cols < 0)
+            or np.any(self.weight == 0.0)  # NaN where absent
+            or np.any(self.default_size[has_default] != k[has_default])
+        ):
+            return None
+        if not len(k):
+            return ()
+        starts = np.cumsum(k) - k
+        default = np.repeat(self.budget / k, k)  # the even split, where there is no default
+        default[np.repeat(has_default, k)] = self.default
+        with np.errstate(over="ignore"):  # 1.0 / w is inf for a subnormal w, as in Python
+            threshold = 1.0 / self.weight
+        key = self.notion * (k.max() + 1) + k  # one per (notion, k)
+        order = np.argsort(key, kind="stable")
+        groups = []
+        # rows ascend within a group; groups come in order of first
+        # appearance, as _plan compiles them
+        for rows in sorted(
+            np.split(order, np.flatnonzero(np.diff(key[order])) + 1), key=lambda rows: rows[0]
+        ):
+            cells = starts[rows, None] + np.arange(k[rows[0]])
+            groups.append(
+                _BundleGroup(
+                    notion=NOTIONS[self.notion[rows[0]]],
+                    index=rows,
+                    voter=self.voter[rows, None],
+                    delegate=self.delegate[rows, None],
+                    cols=self.cols[cells],
+                    budget=self.budget[rows, None],
+                    weight=self.weight[rows, None],
+                    threshold=threshold[rows, None],
+                    default=default[cells],
+                )
+            )
+        return tuple(groups)
+
+    def valid(self, n, m, tol) -> bool:
+        """True iff ``validate_instance``'s walk would find no violation.
+
+        Decided column by column; the instance-level rules (candidates and
+        voters present and distinct) are checked before.  Budget totals
+        and default norms are summed by ``_exact_sum``, as in the walk.
+        """
+        k, voter, delegate, budget = self.size, self.voter, self.delegate, self.budget
+        if not (np.all(k > 0) and np.all(self.cols >= 0) and np.all(delegate >= 0)):
+            return False
+        # every voter's bundles partition the candidates
+        cells = np.repeat(voter, k) * m + self.cols
+        if cells.size != n * m or not np.all(np.bincount(cells, minlength=n * m) == 1):
+            return False
+        # DIRECT bundles are exactly the self-delegated ones, and singletons
+        direct = self.notion == DIRECT
+        if not (np.all(direct == (delegate == voter)) and np.all(k[direct] == 1)):
+            return False
+        if not (
+            np.all(np.isfinite(budget))
+            and np.all(budget >= -tol)
+            and np.all(budget <= 1.0 + tol)
+            and np.all(direct | (np.abs(budget) > tol))
+        ):
+            return False
+        weighted = np.isin(self.notion, WEIGHTED)
+        weight = self.weight[weighted]
+        if not (  # an absent weight is NaN
+            np.all(np.isfinite(weight))
+            and np.all(weight > 0)
+            and np.all(self.default_size[weighted] == k[weighted])
+        ):
+            return False
+        default = self.default[np.repeat(weighted, np.maximum(self.default_size, 0))]
+        if not (np.all(np.isfinite(default)) and np.all(default >= -tol)):
+            return False
+        budgets = budget.tolist()
+        ends = np.cumsum(np.bincount(voter, minlength=n)).tolist()
+        if any(abs(_exact_sum(budgets[lo:hi]) - 1.0) > tol for lo, hi in zip([0, *ends], ends)):
+            return False
+        default, at = default.tolist(), 0
+        for size, b in zip(k[weighted].tolist(), budget[weighted].tolist()):
+            if abs(_exact_sum(default[at:at + size]) - b) > tol:
+                return False
+            at += size
+        return True

@@ -27,6 +27,7 @@ the orderings it is indexed by.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from decimal import Decimal, InvalidOperation
@@ -34,13 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import (
-    Bundle,
-    ElectionInstance,
-    InvalidInstanceError,
-    Notion,
-    validate_instance,
-)
+from .model import ElectionInstance, InvalidInstanceError, validate_instance
 
 INSTANCE_SCHEMA_VERSION = 1
 SOLUTION_SCHEMA_VERSION = 1
@@ -81,7 +76,12 @@ def _finite(value, location):
 
 
 def _matrix(rows, shape, location) -> np.ndarray:
-    """A finite ``(n, m)`` matrix from ``n`` lists of ``m`` numbers; errors name the cell."""
+    """A finite ``(n, m)`` matrix from ``n`` lists of ``m`` numbers; errors name the cell.
+
+    Cells that are all ``int`` or ``float`` are converted in one ``np.array``
+    call, as ``float`` converts each; any other cell, and a non-finite
+    value, sends the matrix through ``_finite`` cell by cell.
+    """
     n, m = shape
     if not (
         isinstance(rows, list)
@@ -89,6 +89,14 @@ def _matrix(rows, shape, location) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == m for row in rows)
     ):
         raise InstanceSyntaxError(f"expected a {n} x {m} row-major matrix", location)
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        try:
+            x = np.array(rows, dtype=float).reshape(shape)
+        except OverflowError:  # an int past the float range, which _finite raises on
+            pass
+        else:
+            if np.isfinite(x).all():
+                return x
     cells = [
         [_finite(v, f"{location}[{i}][{j}]") for j, v in enumerate(row)]
         for i, row in enumerate(rows)
@@ -115,8 +123,77 @@ def _string_list(value, location):
     return value
 
 
+#: Required and optional fields of a bundle record, and both as sets.
+_BUNDLE_REQUIRED = ("members", "budget", "delegate", "notion")
+_BUNDLE_OPTIONAL = ("weight", "default")
+_REQUIRED_FIELDS = frozenset(_BUNDLE_REQUIRED)
+_BUNDLE_FIELDS = _REQUIRED_FIELDS | frozenset(_BUNDLE_OPTIONAL)
+
+#: Every byte of a column of plain decimals, joined by newlines.
+_DECIMAL_BYTES = b"0123456789.+-eE\n"
+
+
+def _floats(cells):
+    """``_number`` of every cell of a column of plain decimal strings, else ``None``.
+
+    Over the characters of plain decimals (digits, ``.``, signs and an
+    exponent) ``float`` and ``Decimal`` accept the same strings, and
+    ``float(s)`` is the double nearest to the exact value, as
+    ``float(Decimal(s))`` is.  The one exception is an exponent past
+    ``Decimal``'s range, which ``_number`` refuses and ``float`` reads as
+    0 or inf; columns holding one, rationals, JSON numbers or anything
+    else are left to ``_number``.
+    """
+    try:
+        text = "\n".join(cells)
+    except TypeError:  # a cell that is not a string
+        return None
+    if not text.isascii() or text.encode().translate(None, _DECIMAL_BYTES):
+        return None
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    if ("e" in text or "E" in text) and any(
+        (v == 0.0 or math.isinf(v)) and ("e" in c or "E" in c) for v, c in zip(values, cells)
+    ):
+        return None
+    return values
+
+
+def _numbers(bundle_docs, counts):
+    """Budgets, weights and default entries of the bundles, by ``_number``.
+
+    Walks the bundle records in document order, ``counts[i]`` of them for
+    voter ``i``, so the first bad number raises with its location.
+    Absent weights and defaults are skipped.
+    """
+    budgets, weights, defaults = [], [], []
+    bundle_docs = iter(bundle_docs)
+    for i, count in enumerate(counts):
+        for j, bdoc in zip(range(count), bundle_docs):
+            where = f"voters[{i}].bundles[{j}]"
+            if "default" in bdoc:
+                defaults += [
+                    _number(d, f"{where}.default[{k}]") for k, d in enumerate(bdoc["default"])
+                ]
+            budgets.append(_number(bdoc["budget"], f"{where}.budget"))
+            if "weight" in bdoc:
+                weights.append(_number(bdoc["weight"], f"{where}.weight"))
+    return budgets, weights, defaults
+
+
 def instance_from_doc(doc) -> ElectionInstance:
-    """Build an instance from a parsed JSON document, without validating."""
+    """Build an instance from a parsed JSON document, without validating.
+
+    One pass over the voter records checks every field; the bundles then
+    become columns, their numbers are converted a column at a time, and
+    the instance carries the grouped plan built from the columns (see
+    ``_columns.BundleColumns``), with no ``Bundle`` objects.  An error
+    names the first bad field in document order.
+    """
+    from ._columns import NOTION_CODES, BundleColumns  # compiled on the first parse only
+
     _require(doc, ("schema_version", "candidates", "voters"), (), "instance")
     if doc["schema_version"] != INSTANCE_SCHEMA_VERSION:
         raise InstanceSyntaxError(
@@ -127,55 +204,76 @@ def instance_from_doc(doc) -> ElectionInstance:
         raise InstanceSyntaxError("expected a list of voter records", "voters")
 
     voters = []
-    delegations = []
-    for i, record in enumerate(doc["voters"]):
-        where = f"voters[{i}]"
-        _require(record, ("name", "bundles"), (), where)
-        if not isinstance(record["name"], str):
-            raise InstanceSyntaxError("voter name must be a string", where)
-        voters.append(record["name"])
-        if not isinstance(record["bundles"], list):
-            raise InstanceSyntaxError("expected a list of bundles", where)
-        bundles = []
-        for j, bdoc in enumerate(record["bundles"]):
-            bwhere = f"{where}.bundles[{j}]"
-            _require(
-                bdoc,
-                ("members", "budget", "delegate", "notion"),
-                ("weight", "default"),
-                bwhere,
-            )
-            members = _string_list(bdoc["members"], f"{bwhere}.members")
-            if not isinstance(bdoc["delegate"], str):
-                raise InstanceSyntaxError("delegate must be a string", bwhere)
-            notion = bdoc["notion"]
-            if not isinstance(notion, str) or notion not in Notion._value2member_map_:
-                raise InstanceSyntaxError(f"invalid notion {notion!r}", bwhere)
-            default = None
-            if "default" in bdoc:
-                if not isinstance(bdoc["default"], list):
-                    raise InstanceSyntaxError("default must be a list", bwhere)
-                default = tuple(
-                    _number(d, f"{bwhere}.default[{k}]")
-                    for k, d in enumerate(bdoc["default"])
-                )
-            bundles.append(
-                Bundle(
-                    members=tuple(members),
-                    budget=_number(bdoc["budget"], f"{bwhere}.budget"),
-                    delegate=bdoc["delegate"],
-                    notion=notion,
-                    weight=(
-                        _number(bdoc["weight"], f"{bwhere}.weight")
-                        if "weight" in bdoc
-                        else None
-                    ),
-                    default=default,
-                )
-            )
-        delegations.append(tuple(bundles))
+    counts = []  # bundle records of each voter
+    bundle_docs = []
+    try:
+        for i, record in enumerate(doc["voters"]):
+            where = f"voters[{i}]"
+            _require(record, ("name", "bundles"), (), where)
+            if not isinstance(record["name"], str):
+                raise InstanceSyntaxError("voter name must be a string", where)
+            voters.append(record["name"])
+            if not isinstance(record["bundles"], list):
+                raise InstanceSyntaxError("expected a list of bundles", where)
+            counts.append(len(record["bundles"]))
+            for j, bdoc in enumerate(record["bundles"]):
+                if not (
+                    isinstance(bdoc, dict)
+                    and _REQUIRED_FIELDS <= bdoc.keys() <= _BUNDLE_FIELDS
+                ):
+                    _require(bdoc, _BUNDLE_REQUIRED, _BUNDLE_OPTIONAL, f"{where}.bundles[{j}]")
+                members = bdoc["members"]
+                if not (isinstance(members, list) and all(isinstance(c, str) for c in members)):
+                    _string_list(members, f"{where}.bundles[{j}].members")
+                if not isinstance(bdoc["delegate"], str):
+                    raise InstanceSyntaxError("delegate must be a string", f"{where}.bundles[{j}]")
+                notion = bdoc["notion"]
+                if not isinstance(notion, str) or notion not in NOTION_CODES:
+                    raise InstanceSyntaxError(f"invalid notion {notion!r}", f"{where}.bundles[{j}]")
+                if "default" in bdoc and not isinstance(bdoc["default"], list):
+                    raise InstanceSyntaxError("default must be a list", f"{where}.bundles[{j}]")
+                bundle_docs.append(bdoc)
+    except InstanceSyntaxError:
+        _numbers(bundle_docs, counts)  # a bad number earlier in the document comes first
+        raise
 
-    return ElectionInstance(tuple(candidates), tuple(voters), tuple(delegations))
+    numbers = [
+        _floats(column)
+        for column in (
+            [bdoc["budget"] for bdoc in bundle_docs],
+            [bdoc["weight"] for bdoc in bundle_docs if "weight" in bdoc],
+            [d for bdoc in bundle_docs if "default" in bdoc for d in bdoc["default"]],
+        )
+    ]
+    if any(column is None for column in numbers):
+        numbers = _numbers(bundle_docs, counts)
+    budget, weight, default = (np.array(column, dtype=float) for column in numbers)
+    del numbers
+
+    candidate_index = {c: i for i, c in enumerate(candidates)}
+    voter_index = {v: i for i, v in enumerate(voters)}
+    members = [c for bdoc in bundle_docs for c in bdoc["members"]]
+    delegates = [bdoc["delegate"] for bdoc in bundle_docs]
+    has_weight = np.array(["weight" in bdoc for bdoc in bundle_docs], dtype=bool)
+    weights = np.full(len(bundle_docs), math.nan)
+    weights[has_weight] = weight
+    columns = BundleColumns(
+        voter=np.repeat(np.arange(len(voters)), counts),
+        delegate=np.array([voter_index.get(d, -1) for d in delegates], dtype=int),
+        notion=np.array([NOTION_CODES[bdoc["notion"]] for bdoc in bundle_docs], dtype=int),
+        size=np.array([len(bdoc["members"]) for bdoc in bundle_docs], dtype=int),
+        budget=budget,
+        weight=weights,
+        has_weight=has_weight,
+        default_size=np.array(
+            [len(bdoc["default"]) if "default" in bdoc else -1 for bdoc in bundle_docs], dtype=int
+        ),
+        cols=np.array([candidate_index.get(c, -1) for c in members], dtype=int),
+        default=default,
+        members=members,
+        delegates=delegates,
+    )
+    return ElectionInstance._from_columns(candidates, voters, columns)
 
 
 def parse_instance(text) -> ElectionInstance:
@@ -191,6 +289,7 @@ def parse_instance(text) -> ElectionInstance:
     except json.JSONDecodeError as exc:
         raise InstanceSyntaxError(exc.msg, f"line {exc.lineno} column {exc.colno}") from None
     instance = instance_from_doc(doc)
+    del doc  # the instance keeps what it needs; validation runs without the document
     report = validate_instance(instance)
     if not report.ok:
         raise InvalidInstanceError(report)

@@ -44,6 +44,18 @@ class Notion(str, Enum):
 WEIGHTED_NOTIONS = frozenset({Notion.EP_T, Notion.EP_TI, Notion.WCC})
 
 
+def _exact_sum(values) -> float:
+    """``math.fsum``: correctly rounded, so independent of the order of ``values``.
+
+    Where ``fsum`` refuses (``inf - inf``, an intermediate overflow) this
+    is the plain sum, NaN or infinite there.
+    """
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return sum(values)
+
+
 @dataclass(frozen=True)
 class Bundle:
     """One entry of a voter's partition of the candidate set.
@@ -130,6 +142,10 @@ class ElectionInstance:
     ``delegations[i]`` holds the bundles of ``voters[i]``.  Candidate and
     voter order is authoritative: all solution matrices use it for their
     column and row indices.
+
+    An instance read from a document (``io.instance_from_doc``) carries
+    its bundles as columns and its grouped plan as built from them; its
+    ``delegations`` are made on first use.
     """
 
     candidates: tuple[str, ...]
@@ -144,6 +160,27 @@ class ElectionInstance:
             "delegations",
             tuple(tuple(bundles) for bundles in self.delegations),
         )
+
+    @classmethod
+    def _from_columns(cls, candidates, voters, columns):
+        """An instance whose bundles are ``columns``, a ``_columns.BundleColumns``."""
+        instance = object.__new__(cls)
+        fields = instance.__dict__
+        fields.update(candidates=tuple(candidates), voters=tuple(voters), _columns=columns)
+        plan = columns.plan()
+        if plan is not None:
+            fields["_plan"] = plan
+        return instance
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: the delegations
+        # of an instance made by _from_columns, until first use
+        columns = self.__dict__.get("_columns")
+        if name != "delegations" or columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        delegations = columns.bundles(len(self.voters))
+        object.__setattr__(self, "delegations", delegations)
+        return delegations
 
     @property
     def n(self) -> int:
@@ -266,13 +303,20 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
     Violations are data, not failures: the report lists each broken rule
     with the offending voter and bundle.  Budget sums are compared with
     absolute tolerance ``tol``.  The check is deterministic and its
-    outcome does not depend on the order of a voter's bundles.
+    outcome does not depend on the order of a voter's bundles or of a
+    default's entries: budget totals and default norms are summed by
+    ``math.fsum``, which rounds the exact sum once.
 
     Rules checked, per voter: bundles are non-empty, pairwise disjoint
     and cover the candidate set; budgets lie in [0, 1] and sum to 1;
     self-delegation happens exactly on DIRECT singleton bundles;
     zero-budget bundles are DIRECT; weighted notions carry a positive
     weight and a non-negative default of l1-norm equal to the budget.
+
+    An instance read from a document is first checked column by column,
+    with no ``Bundle`` objects; only when that check fails does the walk
+    below run on its ``delegations``.  The walk is the one source of
+    located violations.
     """
     violations: list[Violation] = []
 
@@ -289,13 +333,16 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
         record(None, None, "duplicate-voter", "voter identifiers repeat")
     if violations:
         return ValidationReport(tuple(violations))
+    columns = getattr(instance, "_columns", None)
+    if columns is not None and columns.valid(instance.n, instance.m, tol):
+        return ValidationReport(())
 
     candidate_set = set(instance.candidates)
     voter_set = set(instance.voters)
 
     for voter, bundles in zip(instance.voters, instance.delegations):
         seen: dict[str, int] = {}
-        budget_total = 0.0
+        budgets = []
         for bi, bundle in enumerate(bundles):
             if not bundle.members:
                 record(voter, bi, "empty-bundle", "bundle has no members")
@@ -318,7 +365,7 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
             if not math.isfinite(b) or b < -tol or b > 1.0 + tol:
                 record(voter, bi, "budget-range", f"budget {b!r} outside [0, 1]")
             else:
-                budget_total += b
+                budgets.append(b)
 
             self_delegated = bundle.delegate == voter
             if self_delegated and (len(bundle.members) != 1 or bundle.notion is not Notion.DIRECT):
@@ -352,7 +399,7 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
                         )
                     if any(d < -tol or not math.isfinite(d) for d in bundle.default):
                         record(voter, bi, "default-negative", "default entries must be non-negative")
-                    norm = sum(bundle.default)
+                    norm = _exact_sum(bundle.default)
                     if abs(norm - b) > tol:
                         record(
                             voter, bi, "default-norm",
@@ -368,6 +415,7 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
                 voter, None, "partition-incomplete",
                 "bundles do not cover candidates: " + ", ".join(sorted(missing)),
             )
+        budget_total = _exact_sum(budgets)
         if abs(budget_total - 1.0) > tol:
             record(
                 voter, None, "budget-sum",

@@ -1,24 +1,34 @@
 """Instance and solution file formats."""
 
+import copy
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
+from test_grouped_plan import mixed_instance, reference_plan
 
 from liquidballots import (
+    BUDGET_TOL,
+    Bundle,
+    ElectionInstance,
     InstanceSyntaxError,
     InvalidInstanceError,
     Notion,
     fixtures,
+    instance_from_doc,
     instance_to_doc,
     parse_instance,
     parse_solution,
     serialize_instance,
     serialize_solution,
     trace_csv,
+    validate_instance,
 )
-from liquidballots.io import _format_number
+from liquidballots.io import _format_number, _number
 
 
 def test_parse_crossed_fixture_files(fixture_path):
@@ -155,3 +165,284 @@ def test_trace_csv_layout():
 )
 def test_format_number_handles_non_finite_values(value, text):
     assert _format_number(value) == text
+
+
+#: A valid document with every notion, a rational weight and a zero default entry.
+BASE_DOC = {
+    "schema_version": 1,
+    "candidates": ["c1", "c2", "c3", "c4"],
+    "voters": [
+        {"name": "v", "bundles": [
+            {"members": ["c1", "c2"], "budget": "0.5", "delegate": "u", "notion": "WCC",
+             "weight": "10", "default": ["0.25", "0.25"]},
+            {"members": ["c3"], "budget": "0.25", "delegate": "v", "notion": "DIRECT"},
+            {"members": ["c4"], "budget": "0.25", "delegate": "w", "notion": "EP"},
+        ]},
+        {"name": "u", "bundles": [
+            {"members": ["c1", "c2", "c3"], "budget": "0.75", "delegate": "w", "notion": "EP-TI",
+             "weight": "10/7", "default": ["0.5", "0", "0.25"]},
+            {"members": ["c4"], "budget": "0.25", "delegate": "u", "notion": "DIRECT"},
+        ]},
+        {"name": "w", "bundles": [
+            {"members": ["c1", "c4"], "budget": "0.5", "delegate": "v", "notion": "EP-T",
+             "weight": "4", "default": ["0.5", "0"]},
+            {"members": ["c2"], "budget": "0.25", "delegate": "w", "notion": "DIRECT"},
+            {"members": ["c3"], "budget": "0.25", "delegate": "w", "notion": "DIRECT"},
+        ]},
+    ],
+}
+
+
+def bundle_instance(doc):
+    """The instance ``doc`` describes, built from ``Bundle`` objects."""
+
+    def number(text):
+        return float(Fraction(text))
+
+    return ElectionInstance(
+        doc["candidates"],
+        [record["name"] for record in doc["voters"]],
+        [
+            tuple(
+                Bundle(
+                    b["members"], number(b["budget"]), b["delegate"], b["notion"],
+                    number(b["weight"]) if "weight" in b else None,
+                    tuple(map(number, b["default"])) if "default" in b else None,
+                )
+                for b in record["bundles"]
+            )
+            for record in doc["voters"]
+        ],
+    )
+
+
+def _set(path, value):
+    """A mutation setting the field at ``path`` (keys and list positions)."""
+
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _drop(*path):
+    def mutate(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        del doc[last]
+
+    return mutate
+
+
+V, U, W = ("voters", 0, "bundles"), ("voters", 1, "bundles"), ("voters", 2, "bundles")
+
+#: Mutations of ``BASE_DOC`` breaking each rule of ``validate_instance``.
+RULE_MUTATIONS = [
+    ("empty-bundle", [
+        _set((*V, 2, "budget"), "0.125"),
+        lambda doc: doc["voters"][0]["bundles"].append(
+            {"members": [], "budget": "0.125", "delegate": "w", "notion": "EP"}
+        ),
+    ]),
+    ("duplicate-member", [_set((*V, 0, "members"), ["c1", "c1"])]),
+    ("unknown-candidate", [_set((*V, 2, "members"), ["c5"])]),
+    ("bundles-overlap", [_set((*V, 2, "members"), ["c3"])]),
+    ("unknown-delegate", [_set((*V, 0, "delegate"), "x")]),
+    ("budget-range", [_set((*W, 1, "budget"), "1.5")]),
+    ("budget-range", [  # the budgets still add up to 1
+        _set((*W, 1, "budget"), "-0.25"), _set((*W, 2, "budget"), "0.75"),
+    ]),
+    ("budget-range", [
+        _set((*W, 0, "budget"), "1.000000002"), _set((*W, 0, "default"), ["1.000000002", "0"]),
+        _set((*W, 1, "budget"), "-0.000000001"), _set((*W, 2, "budget"), "-0.000000001"),
+    ]),
+    ("budget-sum", [_set((*W, 1, "budget"), "0.3")]),
+    ("self-delegation", [_set((*V, 2, "delegate"), "v")]),
+    ("direct-bundle", [_set((*V, 1, "delegate"), "u")]),
+    ("direct-bundle", [
+        _set((*V, 1), {"members": ["c3", "c4"], "budget": "0.5", "delegate": "v",
+                       "notion": "DIRECT"}),
+        _drop(*V, 2),
+    ]),
+    ("zero-budget", [_set((*V, 2, "budget"), "0"), _set((*V, 1, "budget"), "0.5")]),
+    ("weight-missing", [_drop(*U, 0, "weight")]),
+    ("weight-range", [_set((*V, 0, "weight"), "0")]),
+    ("weight-range", [_set((*U, 0, "weight"), "-7/10")]),
+    ("default-missing", [_drop(*W, 0, "default")]),
+    ("default-length", [_set((*V, 0, "default"), ["0.25", "0.25", "0"])]),
+    ("default-length", [_set((*W, 0, "default"), ["0.5", "0", "0"])]),
+    ("default-negative", [_set((*U, 0, "default"), ["1", "-0.5", "0.25"])]),
+    ("default-norm", [_set((*W, 0, "default"), ["0.25", "0"])]),
+    ("partition-incomplete", [
+        _set((*U, 0, "members"), ["c1", "c2"]), _set((*U, 0, "default"), ["0.5", "0.25"]),
+    ]),
+    ("duplicate-voter", [_set(("voters", 2, "name"), "u")]),
+]
+
+
+@pytest.mark.parametrize("rule,mutations", RULE_MUTATIONS, ids=[rule for rule, _ in RULE_MUTATIONS])
+def test_parse_reports_the_violations_of_the_bundle_walk(rule, mutations):
+    """``parse_instance`` checks the document's columns and, when they fail,
+    reports what ``validate_instance`` reports for the same election built
+    from ``Bundle`` objects: same violations, same order, same messages."""
+    doc = copy.deepcopy(BASE_DOC)
+    for mutate in mutations:
+        mutate(doc)
+    expected = validate_instance(bundle_instance(doc))
+    assert rule in {v.rule for v in expected.violations}
+    with pytest.raises(InvalidInstanceError) as caught:
+        parse_instance(json.dumps(doc))
+    assert caught.value.report.violations == expected.violations
+
+
+def test_base_document_is_valid():
+    inst = parse_instance(json.dumps(BASE_DOC))
+    assert inst == bundle_instance(BASE_DOC)
+    assert inst.bundles_of("u")[0].weight == 10 / 7
+
+
+PLAN_FIELDS = ("index", "voter", "delegate", "cols", "budget", "weight", "threshold", "default")
+
+
+def test_parsed_instances_equal_their_source_and_compile_the_same_plan():
+    """Forty random elections through their documents: the parsed instance
+    equals the source, and its plan, built from the document's columns,
+    matches the per-bundle reference and the plan compiled from the
+    source's bundles, bit for bit and group by group."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        inst = mixed_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        parsed = parse_instance(serialize_instance(inst))
+        plan = parsed._plan  # built while parsing, before the Bundle view exists
+        assert parsed == inst
+        reference = reference_plan(inst)
+        indices = np.concatenate([g.index for g in plan])
+        assert sorted(indices.tolist()) == list(range(len(reference)))
+        for g, h in zip(plan, inst._plan, strict=True):
+            assert g.notion is h.notion
+            for field in PLAN_FIELDS:
+                got, compiled = getattr(g, field), getattr(h, field)
+                assert got.dtype == compiled.dtype and got.shape == compiled.shape
+                assert got.tobytes() == compiled.tobytes(), field
+            for row, index in enumerate(g.index):
+                cell = reference[index]
+                assert (g.notion, g.voter[row, 0], g.delegate[row, 0]) == (
+                    cell.notion, cell.voter, cell.delegate,
+                )
+                assert_array_equal(g.cols[row], cell.cols)
+                assert_array_equal(
+                    [g.budget[row, 0], g.weight[row, 0], g.threshold[row, 0]],
+                    [cell.budget, cell.weight, cell.threshold],
+                )
+                if cell.default is not None:
+                    assert_array_equal(g.default[row], cell.default)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from(["budget", "default"]),
+    nudge=st.integers(-25, 25),
+)
+def test_column_check_agrees_with_the_walk_near_the_tolerance(seed, field, nudge):
+    """A budget or default entry moved by a multiple of 1e-10 puts sums within
+    a few 1e-10 of the 1e-9 tolerance; the column check must accept exactly
+    the documents the walk accepts."""
+    rng = np.random.default_rng(seed)
+    doc = instance_to_doc(mixed_instance(rng, int(rng.integers(2, 6)), int(rng.integers(1, 7))))
+    bundles = [b for record in doc["voters"] for b in record["bundles"] if field in b]
+    if not bundles:
+        return
+    bundle = bundles[int(rng.integers(len(bundles)))]
+    if field == "budget":
+        bundle["budget"] = repr(float(bundle["budget"]) + nudge * 1e-10)
+    else:
+        k = int(rng.integers(len(bundle["default"])))
+        bundle["default"][k] = repr(float(bundle["default"][k]) + nudge * 1e-10)
+    parsed = instance_from_doc(doc)
+    report = validate_instance(parsed)
+    assert parsed._columns.valid(parsed.n, parsed.m, BUDGET_TOL) == report.ok
+    assert report == validate_instance(bundle_instance(doc))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["1/8", "0.375"], [0.25, 1], [" 0.25", "2.5e-1"], ["2.5E-1", "+0.25"], ["0.5", "-0"],
+        ["0.5", "1e-400"], ["0.5", "1e400"], ["0.5", "-0e5"],
+    ],
+)
+def test_numbers_outside_plain_decimals_parse_as_before(cells):
+    """Rationals, JSON numbers, whitespace and exponents past the float
+    range parse to the doubles ``_number`` gives, cell by cell."""
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][1]["bundles"][0]["weight"] = "2"  # no rational in the other columns
+    doc["voters"][0]["bundles"][0]["default"] = cells
+    expected = tuple(_number(c, None) for c in cells)
+    assert instance_from_doc(doc).bundles_of("v")[0].default == expected
+
+
+def test_exponents_past_the_decimal_range_are_refused():
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][1]["bundles"][0]["weight"] = "2"
+    doc["voters"][0]["bundles"][0]["default"] = ["0.5", "0e99999999999999999999999"]
+    with pytest.raises(
+        InstanceSyntaxError, match=r"^voters\[0\]\.bundles\[0\]\.default\[1\]: invalid number"
+    ):
+        instance_from_doc(doc)
+
+
+def test_the_first_bad_field_in_document_order_is_reported():
+    """A bad number in an earlier bundle is reported before a structural
+    error in a later one, and the other way round."""
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][0]["bundles"][2]["budget"] = "half"
+    doc["voters"][1]["bundles"][0]["delegate"] = 3
+    with pytest.raises(
+        InstanceSyntaxError, match=r"^voters\[0\]\.bundles\[2\]\.budget: invalid number 'half'$"
+    ):
+        instance_from_doc(doc)
+    doc["voters"][0]["bundles"][2]["budget"] = "0.25"
+    doc["voters"][2]["bundles"][1]["budget"] = True
+    with pytest.raises(
+        InstanceSyntaxError, match=r"^voters\[1\]\.bundles\[0\]: delegate must be a string$"
+    ):
+        instance_from_doc(doc)
+
+
+@pytest.mark.parametrize("value", ["0", "-0", "1e-400"])
+def test_zero_weights_reach_validation_without_arithmetic_errors(value):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][2]["bundles"][0]["weight"] = value
+    with pytest.raises(InvalidInstanceError, match="weight-range"):
+        parse_instance(json.dumps(doc))
+
+
+def test_solution_matrices_of_json_numbers_convert_at_once():
+    inst = fixtures.crossed_thresholds(Notion.EP_TI)
+    doc = json.loads(serialize_solution(inst, np.zeros((2, 4))))
+    doc["values"] = [[0.5, 0, 0.25, 0.25], [1, 0.0, 0.0, 0]]
+    x = parse_solution(json.dumps(doc), inst)
+    assert x.dtype == float and x.flags.c_contiguous
+    assert_array_equal(x, [[0.5, 0.0, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]])
+    for cell, message in (
+        (True, "expected a number, got a boolean"), ("0.5", None), ("x", "invalid number 'x'"),
+    ):
+        doc["values"][1][3] = cell
+        if message is None:
+            assert parse_solution(json.dumps(doc), inst)[1, 3] == 0.5
+            continue
+        with pytest.raises(InstanceSyntaxError, match=rf"^values\[1\]\[3\]: {message}$"):
+            parse_solution(json.dumps(doc), inst)
+
+
+def test_a_subnormal_weight_compiles_to_an_infinite_threshold():
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][2]["bundles"][0]["weight"] = "5e-324"
+    inst = parse_instance(json.dumps(doc))
+    (group,) = [g for g in inst._plan if g.notion is Notion.EP_T]
+    assert group.threshold[0, 0] == np.inf == inst.bundles_of("w")[0].threshold

@@ -1,5 +1,7 @@
 """Instance structure, validation, feasibility and projection."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from liquidballots import (
     Notion,
     fixtures,
     initial_point,
+    instance_from_doc,
+    instance_to_doc,
     is_feasible,
     project_simplex,
     project_to_feasible,
@@ -124,6 +128,32 @@ def test_validate_default_rules():
         ("c1", "c2", "c3", "c4"), ("v", "u"), ((bad_norm, missing), u_row)
     )
     assert {"default-norm", "default-missing"} <= rules(validate_instance(inst))
+
+
+def test_sum_verdicts_do_not_depend_on_order():
+    """Six numbers that a left-to-right sum puts within 1e-9 of 1 in some
+    orders only: correctly rounded, they total the double 1.000000001,
+    1.0000000827e-9 above 1.  As the budgets of six DIRECT singletons,
+    every order breaks the budget sum; as the default of a WCC bundle of
+    budget 1, every order breaks the default norm.  Instances read back
+    from their documents are checked column by column and must agree."""
+    values = (
+        0.24158292849034788, 0.13404884745412973, 0.08252457737342907,
+        0.16295867399432906, 0.12906472261589194, 0.2498202510718723,
+    )
+    candidates = tuple(f"c{i}" for i in range(6))
+    guru = tuple(Bundle((c,), 1 / 6, "u", Notion.DIRECT) for c in candidates)
+    for order in itertools.permutations(range(6)):
+        direct = tuple(Bundle((candidates[i],), values[i], "v", Notion.DIRECT) for i in order)
+        combined = Bundle(
+            tuple(candidates[i] for i in order), 1.0, "u", Notion.WCC, 10.0,
+            tuple(values[i] for i in order),
+        )
+        for row, rule in ((direct, "budget-sum"), ((combined,), "default-norm")):
+            inst = ElectionInstance(candidates, ("v", "u"), (row, guru))
+            report = validate_instance(inst)
+            assert [v.rule for v in report.violations] == [rule], order
+            assert validate_instance(instance_from_doc(instance_to_doc(inst))) == report
 
 
 def test_invalid_instance_error_carries_report():
