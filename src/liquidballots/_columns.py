@@ -158,23 +158,25 @@ class BundleColumns(NamedTuple):
             and np.all(direct | (np.abs(budget) > tol))
         ):
             return False
+        # weighted notions need both; any bundle carrying either needs it sound
         weighted = np.isin(self.notion, WEIGHTED)
-        weight = self.weight[weighted]
-        if not (  # an absent weight is NaN
+        weight = self.weight[weighted | self.has_weight]
+        defaulted = weighted | (self.default_size >= 0)
+        if not (  # an absent weight is NaN, an absent default has size -1
             np.all(np.isfinite(weight))
             and np.all(weight > 0)
-            and np.all(self.default_size[weighted] == k[weighted])
+            and np.all(self.default_size[defaulted] == k[defaulted])
         ):
             return False
-        default = self.default[np.repeat(weighted, np.maximum(self.default_size, 0))]
-        if not (np.all(np.isfinite(default)) and np.all(default >= -tol)):
+        # every bundle with a default is in ``defaulted``, so every entry is checked
+        if not (np.all(np.isfinite(self.default)) and np.all(self.default >= -tol)):
             return False
         budgets = budget.tolist()
         ends = np.cumsum(np.bincount(voter, minlength=n)).tolist()
         if any(abs(_exact_sum(budgets[lo:hi]) - 1.0) > tol for lo, hi in zip([0, *ends], ends)):
             return False
-        default, at = default.tolist(), 0
-        for size, b in zip(k[weighted].tolist(), budget[weighted].tolist()):
+        default, at = self.default.tolist(), 0
+        for size, b in zip(k[defaulted].tolist(), budget[defaulted].tolist()):
             if abs(_exact_sum(default[at:at + size]) - b) > tol:
                 return False
             at += size

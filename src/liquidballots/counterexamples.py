@@ -168,29 +168,31 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
     return ElectionInstance(candidates, voters, tuple(delegations))
 
 
-def random_feasible_point(rng, instance, size=None):
-    """Uniform-ish feasible matrices: a flat Dirichlet draw per bundle.
+def _gamma_layout(instance):
+    """Gamma columns per bundle in plan order, as offsets.
 
-    ``size=None`` returns one ``(n, m)`` matrix, ``size=N`` a stack of
-    ``N`` of them, ``(N, n, m)``.  All draws come from one
-    ``rng.standard_gamma(1.0, ...)`` call, matrix by matrix and bundle by
-    bundle in plan order, normalised as ``Generator.dirichlet`` does:
-    the gammas summed left to right, scaled by the reciprocal of the sum,
-    then by the budget.  The result and the generator's state afterwards
-    equal those of one ``rng.dirichlet(np.ones(k))`` call per bundle of
-    ``k >= 2`` members and positive budget, repeated ``N`` times.
+    ``offsets[i]`` is the first gamma column of bundle ``i`` and
+    ``offsets[-1]`` the width of one matrix's draw: a bundle of ``k >= 2``
+    members and positive budget takes ``k`` columns, any other none.
     """
-    count = 1 if size is None else size
     plan = instance._plan
-    # gamma columns per bundle in plan order: k for a drawn bundle, else 0
     widths = np.zeros(sum(len(g.index) for g in plan) + 1, dtype=int)
     for g in plan:
         if g.cols.shape[1] > 1:
             widths[g.index + 1] = g.cols.shape[1] * (g.budget[:, 0] > 0.0)
-    offsets = np.cumsum(widths)  # offsets[i]: first gamma column of bundle i
-    gammas = rng.standard_gamma(1.0, size=(count, offsets[-1]))
-    x = np.zeros((count, instance.n, instance.m))
-    for g in plan:
+    return np.cumsum(widths)
+
+
+def _fill_feasible(instance, offsets, gammas):
+    """The ``(N, n, m)`` matrices of an ``(N, offsets[-1])`` gamma block.
+
+    Each bundle's gammas are normalised as ``Generator.dirichlet`` does:
+    summed left to right, scaled by the reciprocal of the sum, then by
+    the budget.  Rows are independent, so filling a block equals filling
+    its rows one at a time, bit for bit.
+    """
+    x = np.zeros((len(gammas), instance.n, instance.m))
+    for g in instance._plan:
         k = g.cols.shape[1]
         on = g.budget[:, 0] > 0.0
         voter, cols, budget = g.voter[on], g.cols[on], g.budget[on]
@@ -200,6 +202,23 @@ def random_feasible_point(rng, instance, size=None):
         drawn = gammas[:, offsets[g.index[on], None] + np.arange(k)]
         acc = np.cumsum(drawn, axis=-1)[..., -1:]  # left to right, as dirichlet sums
         x[:, voter, cols] = budget * (drawn * (1.0 / acc))
+    return x
+
+
+def random_feasible_point(rng, instance, size=None):
+    """Uniform-ish feasible matrices: a flat Dirichlet draw per bundle.
+
+    ``size=None`` returns one ``(n, m)`` matrix, ``size=N`` a stack of
+    ``N`` of them, ``(N, n, m)``.  All draws come from one
+    ``rng.standard_gamma(1.0, ...)`` call, matrix by matrix and bundle by
+    bundle in plan order, normalised as ``Generator.dirichlet`` does.
+    The result and the generator's state afterwards equal those of one
+    ``rng.dirichlet(np.ones(k))`` call per bundle of ``k >= 2`` members
+    and positive budget, repeated ``N`` times.
+    """
+    count = 1 if size is None else size
+    offsets = _gamma_layout(instance)
+    x = _fill_feasible(instance, offsets, rng.standard_gamma(1.0, size=(count, offsets[-1])))
     return x[0] if size is None else x
 
 
@@ -250,9 +269,11 @@ def _search_contraction(rng, instance, attempt, seed):
 
 
 def _distinct_fixed_points(rng, instance, tol=1e-6):
-    """Multi-start iteration; returns the converged points in start order.
+    """Multi-start iteration; returns every converged start, in start order.
 
     The defaults start comes first, then ``_STARTS`` random starts.
+    Starts that converge to the same point are all returned: repeats are
+    kept, not merged.
     """
     starts = random_feasible_point(rng, instance, _STARTS)
     starts = np.concatenate([initial_point(instance, "defaults")[None], starts])
@@ -285,19 +306,41 @@ def _search_nonuniqueness(rng, instance, attempt, seed):
     )
 
 
+def _pseudomono_probes(rng, instance, points):
+    """The probes of a pseudo-monotonicity attempt around ``points[0]``.
+
+    ``_POINT_PROBES`` random feasible matrices, then each other fixed
+    point followed by 8 nudges towards a random feasible matrix: blends
+    ``b * other + (1 - b) * draw`` with ``b`` uniform on [0.8, 1).  The
+    generator is called in the order of drawing the probes one by one
+    (each nudge's ``b``, then its gamma row), but all rows are
+    normalised in one fill and blended in one broadcast.
+    """
+    others = points[1:]
+    n, m = instance.n, instance.m
+    offsets = _gamma_layout(instance)
+    gammas = [rng.standard_gamma(1.0, size=(_POINT_PROBES, offsets[-1]))]
+    blends = []
+    for _ in range(8 * len(others)):
+        blends.append(rng.uniform(0.8, 1.0))
+        gammas.append(rng.standard_gamma(1.0, size=(1, offsets[-1])))
+    draws = _fill_feasible(instance, offsets, np.concatenate(gammas))
+    b = np.array(blends).reshape(len(others), 8, 1, 1)
+    towards = draws[_POINT_PROBES:].reshape(len(others), 8, n, m)
+    ys = np.empty((_POINT_PROBES + 9 * len(others), n, m))
+    ys[:_POINT_PROBES] = draws[:_POINT_PROBES]
+    tail = ys[_POINT_PROBES:].reshape(len(others), 9, n, m)  # each other point, then its nudges
+    tail[:, 0] = others
+    tail[:, 1:] = b * others[:, None] + (1.0 - b) * towards
+    return ys
+
+
 def _search_pseudomono(rng, instance, attempt, seed):
     points = _distinct_fixed_points(rng, instance)
     if len(points) == 0:
         return None
     x = points[0]
-    probes = list(random_feasible_point(rng, instance, _POINT_PROBES))
-    # other fixed points, nudged, are the most promising probes
-    for other in points[1:]:
-        probes.append(other)
-        for _ in range(8):
-            blend = rng.uniform(0.8, 1.0)
-            probes.append(blend * other + (1.0 - blend) * random_feasible_point(rng, instance))
-    ys = np.stack(probes)
+    ys = _pseudomono_probes(rng, instance, points)
     values = check_pseudomono_violation(instance, x, ys)
     best = int(np.argmin(values))
     if values[best] <= -1e-6:

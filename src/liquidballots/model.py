@@ -312,6 +312,7 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
     self-delegation happens exactly on DIRECT singleton bundles;
     zero-budget bundles are DIRECT; weighted notions carry a positive
     weight and a non-negative default of l1-norm equal to the budget.
+    A weight or default on any other bundle obeys the same rules.
 
     An instance read from a document is first checked column by column,
     with no ``Bundle`` objects; only when that check fails does the walk
@@ -384,27 +385,31 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
                     "zero-budget bundles must be DIRECT self-delegations",
                 )
 
-            if bundle.notion in WEIGHTED_NOTIONS:
-                if bundle.weight is None:
+            # the plan reads weight and default on every bundle, so a
+            # notion that ignores them must still carry sound ones
+            weighted = bundle.notion in WEIGHTED_NOTIONS
+            if bundle.weight is None:
+                if weighted:
                     record(voter, bi, "weight-missing", f"{bundle.notion.value} requires a weight")
-                elif not math.isfinite(bundle.weight) or bundle.weight <= 0:
-                    record(voter, bi, "weight-range", f"weight {bundle.weight!r} must be positive")
-                if bundle.default is None:
+            elif not math.isfinite(bundle.weight) or bundle.weight <= 0:
+                record(voter, bi, "weight-range", f"weight {bundle.weight!r} must be positive")
+            if bundle.default is None:
+                if weighted:
                     record(voter, bi, "default-missing", f"{bundle.notion.value} requires a default vector")
-                else:
-                    if len(bundle.default) != len(bundle.members):
-                        record(
-                            voter, bi, "default-length",
-                            f"default has {len(bundle.default)} entries for {len(bundle.members)} members",
-                        )
-                    if any(d < -tol or not math.isfinite(d) for d in bundle.default):
-                        record(voter, bi, "default-negative", "default entries must be non-negative")
-                    norm = _exact_sum(bundle.default)
-                    if abs(norm - b) > tol:
-                        record(
-                            voter, bi, "default-norm",
-                            f"default l1-norm {norm!r} differs from budget {b!r}",
-                        )
+            else:
+                if len(bundle.default) != len(bundle.members):
+                    record(
+                        voter, bi, "default-length",
+                        f"default has {len(bundle.default)} entries for {len(bundle.members)} members",
+                    )
+                if any(d < -tol or not math.isfinite(d) for d in bundle.default):
+                    record(voter, bi, "default-negative", "default entries must be non-negative")
+                norm = _exact_sum(bundle.default)
+                if abs(norm - b) > tol:
+                    record(
+                        voter, bi, "default-norm",
+                        f"default l1-norm {norm!r} differs from budget {b!r}",
+                    )
 
         missing = candidate_set - set(seen)
         if missing and not any(

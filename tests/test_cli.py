@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, messages, file side effects."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from liquidballots import (
     serialize_solution,
 )
 from liquidballots.cli import run_cli
+from test_io import BASE_DOC
 
 
 @pytest.fixture
@@ -40,6 +42,34 @@ def test_validate_accepts_and_rejects(tmp_path, epti_file, capsys):
     assert run_cli(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "invalid instance:" in out and "weight-range" in out
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("weight", "0", "weight-range"),
+        ("default", ["0.1", "0.15"], "default-length"),
+        ("default", ["0.5"], "default-norm"),
+        ("weight", "2", None),
+    ],
+)
+def test_solve_checks_the_weight_and_default_an_ep_bundle_carries(
+    tmp_path, capsys, field, value, rule
+):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][0]["bundles"][2][field] = value  # an EP bundle
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    code = 0 if rule is None else 1
+    assert run_cli(["validate", str(path)]) == code
+    assert run_cli(["solve", str(path), "--out", str(tmp_path / "solution.json")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if rule is None:
+        assert "instance is valid" in captured.out
+    else:
+        assert "invalid instance:" in captured.out and rule in captured.out
+        assert "invalid instance:" in captured.err and rule in captured.err
 
 
 def test_solve_writes_solution_and_trace(tmp_path, epti_file, capsys):

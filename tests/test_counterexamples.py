@@ -25,7 +25,15 @@ from liquidballots import (
     search_violation,
     validate_instance,
 )
-from liquidballots.counterexamples import finding_from_doc, finding_to_doc
+from liquidballots.counterexamples import (
+    _POINT_PROBES,
+    _distinct_fixed_points,
+    _fill_feasible,
+    _gamma_layout,
+    _pseudomono_probes,
+    finding_from_doc,
+    finding_to_doc,
+)
 from liquidballots.io import InstanceSyntaxError
 
 
@@ -103,11 +111,70 @@ def test_random_feasible_point_matches_per_bundle_dirichlet(seed, n, m, mixed, s
     else:
         instance = random_wcc_instance(rng, n, m, default_mode="random")
     batched, looped = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    pieced = np.random.default_rng(seed + 1)
     got = random_feasible_point(batched, instance, size)
     count = 1 if size is None else size
     expected = np.array([reference_random_feasible_point(looped, instance) for _ in range(count)])
     assert_array_equal(got, expected[0] if size is None else expected.reshape(got.shape))
     assert batched.bit_generator.state == looped.bit_generator.state
+    # single gamma rows drawn one after another, then filled as one block
+    offsets = _gamma_layout(instance)
+    rows = [pieced.standard_gamma(1.0, size=offsets[-1]) for _ in range(count)]
+    pieces = _fill_feasible(instance, offsets, np.array(rows).reshape(count, offsets[-1]))
+    assert_array_equal(pieces, expected.reshape(pieces.shape))
+    assert pieced.bit_generator.state == looped.bit_generator.state
+
+
+def reference_pseudomono_probes(rng, instance, points):
+    """The per-probe loop that ``_pseudomono_probes`` replaced, verbatim."""
+    probes = list(random_feasible_point(rng, instance, _POINT_PROBES))
+    # other fixed points, nudged, are the most promising probes
+    for other in points[1:]:
+        probes.append(other)
+        for _ in range(8):
+            blend = rng.uniform(0.8, 1.0)
+            probes.append(blend * other + (1.0 - blend) * random_feasible_point(rng, instance))
+    return np.stack(probes)
+
+
+def assert_probes_match_the_loop(rng, instance, points):
+    looped = np.random.default_rng()
+    looped.bit_generator.state = rng.bit_generator.state
+    got = _pseudomono_probes(rng, instance, points)
+    expected = reference_pseudomono_probes(looped, instance, points)
+    assert got.shape == (_POINT_PROBES + 9 * max(len(points) - 1, 0), instance.n, instance.m)
+    assert got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10])
+def test_pseudomono_probes_equal_the_per_probe_loop(n):
+    """The block-drawn probes equal the loop's, bit for bit, and leave the
+    generator where it left it.  The converged points are stood in for by
+    feasible matrices drawn from the same generator, 0 to 6 of them: with
+    0 or 1 there are no nudged probes, and at ``n = 1`` every bundle is a
+    DIRECT singleton, so the gamma rows have width 0."""
+    for seed in range(100):
+        for mode in ("even-split", "random"):
+            rng = np.random.default_rng(seed)
+            instance = random_wcc_instance(rng, n, 5, default_mode=mode)
+            if n == 1:
+                assert _gamma_layout(instance)[-1] == 0
+            state = rng.bit_generator.state
+            assert random_feasible_point(rng, instance, 0).shape == (0, n, 5)
+            assert rng.bit_generator.state == state
+            points = random_feasible_point(rng, instance, (0, 1, 2, 3, 6)[seed % 5])
+            assert_probes_match_the_loop(rng, instance, points)
+
+
+def test_pseudomono_probes_equal_the_per_probe_loop_in_real_attempts():
+    for seed in range(3):
+        for mode in ("even-split", "random"):
+            rng = np.random.default_rng(seed)
+            instance = random_wcc_instance(rng, 4, 5, default_mode=mode)
+            points = _distinct_fixed_points(rng, instance)
+            assert len(points) > 1
+            assert_probes_match_the_loop(rng, instance, points)
 
 
 def test_single_voter_instances_degenerate_to_direct_ballots():

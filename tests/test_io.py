@@ -277,6 +277,11 @@ RULE_MUTATIONS = [
     ("default-length", [_set((*W, 0, "default"), ["0.5", "0", "0"])]),
     ("default-negative", [_set((*U, 0, "default"), ["1", "-0.5", "0.25"])]),
     ("default-norm", [_set((*W, 0, "default"), ["0.25", "0"])]),
+    # EP ignores weight and default, but a bundle that carries them is checked
+    ("weight-range", [_set((*V, 2, "weight"), "0")]),
+    ("weight-range", [_set((*V, 2, "weight"), "-2"), _set((*V, 2, "default"), ["0.5"])]),
+    ("default-length", [_set((*V, 2, "default"), ["0.1", "0.15"])]),
+    ("default-length", [_set((*V, 2, "default"), ["0.5", "-0.25"])]),
     ("partition-incomplete", [
         _set((*U, 0, "members"), ["c1", "c2"]), _set((*U, 0, "default"), ["0.5", "0.25"]),
     ]),
@@ -303,6 +308,15 @@ def test_base_document_is_valid():
     inst = parse_instance(json.dumps(BASE_DOC))
     assert inst == bundle_instance(BASE_DOC)
     assert inst.bundles_of("u")[0].weight == 10 / 7
+
+
+def test_a_sound_weight_and_default_on_an_ep_bundle_are_valid():
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][0]["bundles"][2].update(weight="2", default=["0.25"])
+    inst = parse_instance(json.dumps(doc))
+    assert inst == bundle_instance(doc)
+    assert validate_instance(bundle_instance(doc)).ok
+    assert inst.bundles_of("v")[2].weight == 2.0
 
 
 PLAN_FIELDS = ("index", "voter", "delegate", "cols", "budget", "weight", "threshold", "default")
