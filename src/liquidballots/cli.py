@@ -99,18 +99,19 @@ def _cmd_solve(args) -> int:
         grid_resolution=args.grid_resolution,
     )
     report = solve(instance, cfg, strategy=args.strategy, start=args.start)
-    print(f"status: {report.status}")
-    print(f"iterations: {report.iterations}")
-    print(f"residual_linf: {_format_number(report.residual_linf)}")
-    print(f"residual_l1: {_format_number(report.residual_l1)}")
-    print("solution:")
-    _print_matrix(instance, report.solution, sys.stdout)
+    # files first, so that a reader closing stdout early cannot lose them
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(trace_csv(report.trajectory))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(serialize_solution(instance, report.solution))
+    print(f"status: {report.status}")
+    print(f"iterations: {report.iterations}")
+    print(f"residual_linf: {_format_number(report.residual_linf)}")
+    print(f"residual_l1: {_format_number(report.residual_l1)}")
+    print("solution:")
+    _print_matrix(instance, report.solution, sys.stdout)
     if report.status != "converged":
         print(
             "no eps-weak point found at tolerance "
@@ -164,11 +165,12 @@ def _cmd_search(args) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.out is not None:  # before printing, as in _cmd_solve
+        save_finding(finding, args.out)
     print(f"found {finding.kind} witness at attempt {finding.attempt} (seed {finding.seed})")
     for key, value in sorted(finding.certificate.items()):
         print(f"  {key}: {_format_number(value)}")
     if args.out is not None:
-        save_finding(finding, args.out)
         print(f"written to {args.out}")
     return 0
 

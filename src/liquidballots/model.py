@@ -248,6 +248,26 @@ class ElectionInstance:
         return tuple(groups)
 
     @cached_property
+    def _by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The plan's bundles regrouped by size ``k`` alone.
+
+        One ``(cells, budget)`` pair per size: ``cells`` ``(B_k, k)`` holds
+        the flat indices ``voter * m + column`` of each bundle's slice in a
+        raveled C-order matrix, ``budget`` is ``(B_k, 1)``.  Built from
+        ``_plan``, never from ``delegations``.
+        """
+        by_size: dict[int, list[_BundleGroup]] = {}
+        for g in self._plan:
+            by_size.setdefault(g.cols.shape[1], []).append(g)
+        return tuple(
+            (
+                np.concatenate([g.voter * self.m + g.cols for g in groups]),
+                np.concatenate([g.budget for g in groups]),
+            )
+            for groups in by_size.values()
+        )
+
+    @cached_property
     def free_dimensions(self) -> int:
         """Total degrees of freedom of the feasible set.
 
@@ -459,9 +479,10 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
         return False
     if np.any(np.abs(x.sum(axis=1) - 1.0) > tol):
         return False
+    flat = x.ravel()
     return not any(
-        np.any(np.abs(x[g.voter, g.cols].sum(axis=-1, keepdims=True) - g.budget) > tol)
-        for g in instance._plan
+        np.any(np.abs(flat[cells].sum(axis=-1, keepdims=True) - budget) > tol)
+        for cells, budget in instance._by_size
     )
 
 
@@ -469,10 +490,16 @@ def project_simplex(values, total) -> np.ndarray:
     """Euclidean projection of ``values`` onto ``{z >= 0, sum(z) = total}``.
 
     Standard sort-and-threshold construction; exact for the scaled
-    probability simplex.
+    probability simplex.  Raises ``ValueError`` unless ``values`` is a
+    non-empty 1-D vector and ``values`` and ``total`` are finite.
     """
     v = np.asarray(values, dtype=float)
-    return _project_rows(v[None], np.array([[total]], dtype=float))[0]
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"projection input must be a non-empty 1-D vector, got shape {v.shape}")
+    totals = np.array([[total]], dtype=float)
+    if not (np.all(np.isfinite(v)) and np.isfinite(totals[0, 0])):
+        raise ValueError("projection input must be finite")
+    return _project_rows(v[None], totals)[0]
 
 
 def _project_rows(values, totals) -> np.ndarray:
@@ -486,8 +513,8 @@ def _project_rows(values, totals) -> np.ndarray:
     u = np.sort(values, axis=-1)[:, ::-1]
     cssv = np.cumsum(u, axis=-1) - totals
     above = u * np.arange(1, k + 1) > cssv
-    rho = k - 1 - np.argmax(above[:, ::-1], axis=-1)[:, None]  # last True
-    theta = np.take_along_axis(cssv, rho, axis=-1) / (rho + 1.0)
+    rho = k - 1 - np.argmax(above[:, ::-1], axis=-1)  # last True
+    theta = (cssv[np.arange(len(rho)), rho] / (rho + 1.0))[:, None]
     return np.where(totals <= 0.0, 0.0, np.maximum(values - theta, 0.0))
 
 
@@ -495,14 +522,18 @@ def project_to_feasible(instance, y) -> np.ndarray:
     """Project an arbitrary matrix onto the feasible set, bundle by bundle.
 
     Every bundle slice is projected in Euclidean distance onto the scaled
-    simplex ``{z >= 0, sum(z) = budget}``; the bundles of each (notion,
-    size) group are projected together.  The operation is idempotent up to floating-point
-    noise and its output always passes ``is_feasible``.
+    simplex ``{z >= 0, sum(z) = budget}``.  Slices are independent of the
+    bundle's notion, so all bundles of one size are projected together.
+    The operation is idempotent up to floating-point noise.  Its output
+    passes ``is_feasible`` at the default tolerance for entries up to
+    about 1e6 in size; rounding grows with the input, so larger entries
+    can leave a slice sum off its budget.
     """
     y = _as_matrix(instance, y)
     if not np.all(np.isfinite(y)):
         raise ValueError("projection input must be finite")
-    out = np.empty(y.shape)
-    for g in instance._plan:
-        out[g.voter, g.cols] = _project_rows(y[g.voter, g.cols], g.budget)
-    return out
+    flat = y.ravel()
+    out = np.empty(flat.shape)
+    for cells, budget in instance._by_size:
+        out[cells] = _project_rows(flat[cells], budget)
+    return out.reshape(y.shape)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,40 @@ def test_search_writes_finding(tmp_path, capsys):
     assert "found contraction-violation witness at attempt" in printed
     finding = load_finding(out)
     assert finding.kind == "contraction-violation"
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone, as under ``liquidballots ... | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{epti}", "--strategy", "descent", "--tol", "1e-2",
+         "--out", "{dir}/solution.json", "--trace", "{dir}/trace.csv"],
+        ["search", "contraction-violation", "--n", "4", "--m", "3",
+         "--seed", "7", "--budget", "30", "--out", "{dir}/finding.json"],
+    ],
+)
+def test_requested_files_survive_a_closed_stdout(tmp_path, epti_file, monkeypatch, argv):
+    def run(directory):
+        directory.mkdir()
+        return run_cli([arg.format(epti=epti_file, dir=directory) for arg in argv])
+
+    assert run(tmp_path / "normal") == 0
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    run(tmp_path / "closed")
+    written = sorted(path.name for path in (tmp_path / "normal").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "closed").iterdir())
+    assert len(written) == argv.count("--out") + argv.count("--trace")
+    for name in written:
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
 
 
 def test_search_reports_exhausted_budget(capsys):

@@ -12,6 +12,13 @@ writes each notion's response as its own formula, as ``response`` did
 before the four notions shared one pre-image, so the same comparison
 pins every notion's bits too.  ``bundle_response`` reads one bundle's
 cells off the same map and must match them too.
+
+``project_to_feasible`` and ``is_feasible`` have since regrouped the
+plan by bundle size alone.  ``reference_grouped_project`` and
+``reference_grouped_is_feasible`` keep the (notion, size) loops they
+replaced, the projection's ``take_along_axis`` included; they cover
+rows the one-dimensional reference cannot, such as a row in which no
+prefix passes the threshold test.
 """
 
 import math
@@ -19,6 +26,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal, assert_array_max_ulp
@@ -32,9 +40,11 @@ from liquidballots import (
     fixtures,
     initial_point,
     is_feasible,
+    parse_instance,
     project_simplex,
     project_to_feasible,
     response,
+    serialize_instance,
     validate_instance,
 )
 
@@ -142,6 +152,41 @@ def reference_is_feasible(instance, x, tol=1e-9):
         if abs(x[cell.voter, cell.cols].sum() - cell.budget) > tol:
             return False
     return True
+
+
+def reference_project_rows(values, totals):
+    """``model._project_rows`` as it was, with ``np.take_along_axis``."""
+    k = values.shape[-1]
+    u = np.sort(values, axis=-1)[:, ::-1]
+    cssv = np.cumsum(u, axis=-1) - totals
+    above = u * np.arange(1, k + 1) > cssv
+    rho = k - 1 - np.argmax(above[:, ::-1], axis=-1)[:, None]  # last True
+    theta = np.take_along_axis(cssv, rho, axis=-1) / (rho + 1.0)
+    return np.where(totals <= 0.0, 0.0, np.maximum(values - theta, 0.0))
+
+
+def reference_grouped_project(instance, y):
+    """``project_to_feasible`` as it was: one block per (notion, size) group."""
+    y = np.ascontiguousarray(y, dtype=float)
+    out = np.empty(y.shape)
+    for g in instance._plan:
+        out[g.voter, g.cols] = reference_project_rows(y[g.voter, g.cols], g.budget)
+    return out
+
+
+def reference_grouped_is_feasible(instance, x, tol=1e-9):
+    """``is_feasible`` as it was: slice sums one (notion, size) group at a time."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        return False
+    if np.any(x < -tol) or np.any(x > 1.0 + tol):
+        return False
+    if np.any(np.abs(x.sum(axis=1) - 1.0) > tol):
+        return False
+    return not any(
+        np.any(np.abs(x[g.voter, g.cols].sum(axis=-1, keepdims=True) - g.budget) > tol)
+        for g in instance._plan
+    )
 
 
 def reference_initial_point(instance, mode):
@@ -330,6 +375,74 @@ def test_projection_and_feasibility_match_per_bundle_loops(seed, n, m, layout, t
         reference_best_response(projected, instance),
     ):
         assert is_feasible(instance, laid_out(x, layout)) == reference_is_feasible(instance, x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    m=st.integers(1, 13),
+    layout=st.sampled_from(LAYOUTS),
+    ties=st.booleans(),
+    outlier=st.booleans(),
+    columnar=st.booleans(),
+)
+@example(seed=0, n=2, m=8, layout="c", ties=True, outlier=True, columnar=False)
+def test_projection_and_feasibility_by_size_match_the_grouped_loops(
+    seed, n, m, layout, ties, outlier, columnar
+):
+    """Up to 13 candidates give bundles of 8 or more members, whose slices
+    numpy sums pairwise; a size block merges such bundles across notions,
+    and DIRECT singletons share the size-1 block with delegated ones."""
+    rng = np.random.default_rng(seed)
+    instance = mixed_instance(rng, n, m)
+    if columnar:  # the plan compiled from columns, with no Bundle view
+        instance = parse_instance(serialize_instance(instance))
+    y = rng.uniform(-1.0, 2.0, size=(n, m))
+    if ties:  # repeated values and exact zeros inside slices
+        y = np.round(y, 1) * (rng.random((n, m)) < 0.7)
+    if outlier:  # a slice in which no prefix passes: the last-True fallback
+        y[int(rng.integers(n)), int(rng.integers(m))] = 1e20
+    projected = project_to_feasible(instance, laid_out(y, layout))
+    assert projected.flags.c_contiguous
+    assert_array_equal(projected, reference_grouped_project(instance, y))
+    feasible = reference_grouped_project(instance, np.clip(y, -1.0, 2.0))
+    for x in (
+        y,
+        projected,
+        feasible,
+        feasible + rng.choice([-1e-9, 0.0, 1e-9], size=(n, m)),
+        feasible + rng.choice([-2e-9, 0.0, 2e-9], size=(n, m)),
+        feasible + rng.choice([-5e-10, 0.0, 5e-10], size=(n, m)),
+    ):
+        for tol in (1e-9, 0.0):
+            assert is_feasible(instance, laid_out(x, layout), tol) == (
+                reference_grouped_is_feasible(instance, x, tol)
+            )
+    if columnar:
+        assert "delegations" not in instance.__dict__
+
+
+def test_projection_falls_back_to_the_last_prefix():
+    """A slice in which no prefix passes the threshold test.
+
+    ``1e20 - 1`` rounds to ``1e20``, so no prefix of ``[1e20, 0.3, 0.2]``
+    with budget 1 stays above its mean excess; the argmax of an all-False
+    row picks ``rho = k - 1``.  The one-dimensional reference has no such
+    fallback and raises.
+    """
+    instance = ElectionInstance(
+        ("a", "b", "c"),
+        ("guru", "v"),
+        (
+            tuple(Bundle((c,), b, "guru", Notion.DIRECT) for c, b in zip("abc", (0.5, 0.25, 0.25))),
+            (Bundle(("a", "b", "c"), 1.0, "guru", Notion.EP),),
+        ),
+    )
+    y = np.array([[0.5, 0.25, 0.25], [1e20, 0.3, 0.2]])
+    with pytest.raises(IndexError):
+        reference_project_simplex(y[1], 1.0)
+    assert_array_equal(project_to_feasible(instance, y), reference_grouped_project(instance, y))
 
 
 @settings(deadline=None, max_examples=40)

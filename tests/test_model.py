@@ -199,6 +199,23 @@ def test_project_simplex_known_values():
     assert_allclose(project_simplex(np.array([2.0]), 0.3), [0.3])
 
 
+@pytest.mark.parametrize(
+    "values, total, message",
+    [
+        ([0.2, float("nan")], 1.0, "finite"),
+        ([0.2, float("inf")], 1.0, "finite"),
+        ([0.2, 0.3], float("nan"), "finite"),
+        ([0.2, 0.3], float("inf"), "finite"),
+        ([0.2, 0.3], float("-inf"), "finite"),
+        ([], 1.0, "a non-empty 1-D"),
+        ([[0.2, 0.3], [0.4, 0.1]], 1.0, "a non-empty 1-D"),
+    ],
+)
+def test_project_simplex_refuses_what_it_cannot_project(values, total, message):
+    with pytest.raises(ValueError, match=f"projection input must be {message}"):
+        project_simplex(values, total)
+
+
 def test_project_to_feasible_pins_direct_cells():
     y = np.ones((2, 3))
     x = project_to_feasible(EP, y)

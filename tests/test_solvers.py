@@ -3,7 +3,9 @@
 ``reference_simple_iteration`` and ``reference_residual_descent`` are the
 two solvers as they were written before they shared one loop, each with
 its own residual bookkeeping; ``solve`` must match them bit for bit.
-``reference_grid_oracle`` is the grid scan as it was before it
+The descent reference projects bundle by bundle with
+``test_grouped_plan.reference_project``, so the comparison pins the
+projection's bits too.  ``reference_grid_oracle`` is the grid scan as it was before it
 factorised, evaluating every grid point; ``grid_oracle`` must match it
 bit for bit.
 """
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from test_gradient import continuous
-from test_grouped_plan import mixed_instance
+from test_grouped_plan import mixed_instance, reference_project
 
 from liquidballots import (
     GridSearchResult,
@@ -33,7 +35,7 @@ from liquidballots import (
     solve,
     solvers,
 )
-from liquidballots.model import BUDGET_TOL, Bundle, ElectionInstance, project_to_feasible
+from liquidballots.model import BUDGET_TOL, Bundle, ElectionInstance
 from liquidballots.response import _residual_gradient, residual_norms
 
 EPTI = fixtures.crossed_thresholds(Notion.EP_TI)
@@ -379,7 +381,7 @@ def reference_residual_descent(instance, x0, cfg):
         step = 0.5
         candidate = None
         while step > 1e-14:
-            y = project_to_feasible(instance, x - step * grad)
+            y = reference_project(instance, x - step * grad)
             fy = best_response(y, instance)
             y_loss = ((fy - y) ** 2).sum()
             if y_loss < loss:
