@@ -1,15 +1,18 @@
-"""The bundles of an instance document as columns, and what is read off them.
+"""Bundles as columns: those of an instance document, and the kernels' view.
 
 ``io.instance_from_doc`` collects a document's bundles into a
 ``BundleColumns`` record, and the instance it returns carries the
 record: ``validate_instance`` checks it column by column, the grouped
 plan is cut from it, and the ``Bundle`` view is built from it on first
-use.  ``io`` imports this module on its first parse, so importing the
-package does not compile it.
+use.  ``size_view`` regroups any instance's plan by bundle size into the
+columns that ``response``, ``model`` and ``solvers`` read.  ``io``
+imports this module on its first parse and ``ElectionInstance._by_size``
+on its first use, so importing the package does not compile it.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -181,3 +184,81 @@ class BundleColumns(NamedTuple):
                 return False
             at += size
         return True
+
+
+#: Rows of a size record, in order: kinds of bundle by notion.
+_KINDS = {Notion.EP: 0, Notion.EP_T: 1, Notion.WCC: 2, Notion.EP_TI: 3, Notion.DIRECT: 4}
+
+
+def size_view(plan, m) -> tuple[SimpleNamespace, ...]:
+    """The bundles of ``plan`` regrouped by size ``k`` alone, one record per size.
+
+    The one place that turns notions into numbers, from the plan and never
+    from ``delegations``.  A delegate's slice ``y``, with support ``nu =
+    sum(y)``, has the pre-image ``z = c*y + (p + q*nu)*d``, ``d`` the
+    default, with coefficients that may switch at the threshold ``1/w``:
+
+    ======  ===  ==========  ==========  ================================
+    notion  c    p, q below  p, q above  rows
+    ======  ===  ==========  ==========  ================================
+    EP      1    0, 0        0, 0        ``keep``: own slice at zero
+                                         support
+    EP-T    1    0, 0        0, 0        ``hard``: ``d`` below ``1/w``
+    WCC     w    1, 0        1, 0        ``shift``
+    EP-TI   1    1/w, -1     0, 0        ``blend``
+    DIRECT                               ``fixed`` at ``d``, the budget
+    ======  ===  ==========  ==========  ================================
+
+    Rows come in the table's order, each kind's bundles in plan order.
+    Every record has, for all its rows, ``own`` ``(B, k)`` (the flat
+    indices ``voter * m + col`` of each bundle's slice in a raveled
+    C-order matrix), ``budget`` ``(B, 1)`` and ``default`` ``(B, k)``
+    (the even split where a bundle has none).  For the live rows, all
+    but ``fixed``: ``live``, ``delegate`` and ``rank`` ``(L, k)`` (the
+    cells of the own and of the delegate's slice, and each cell's
+    position when the plan's delegated groups are walked in order) and
+    ``scale`` ``(L, 1)``, their budgets.  Each kind is ``None`` or a
+    record of its rows: ``rows``, their slice of the live rows, except
+    for ``fixed``; ``own`` (``keep``, ``fixed``); ``default`` (``hard``,
+    ``blend``, ``fixed``); ``threshold`` (``hard``, ``blend``); ``c`` and
+    ``offset = p*d`` (``shift``); ``p`` and ``q`` below (``blend``).
+    """
+    by_size: dict[int, list[tuple]] = {}
+    rank = 0
+    for g in plan:
+        b, k = g.cols.shape
+        one, zero = np.ones((b, 1)), np.zeros((b, 1))
+        c, p, q, default = one, zero, zero, g.default
+        if g.notion is Notion.WCC:
+            c, p = g.weight, one
+        elif g.notion is Notion.EP_TI:
+            p, q = g.threshold, -one
+        elif g.notion is Notion.DIRECT:
+            default = np.broadcast_to(g.budget, (b, k))
+        by_size.setdefault(k, []).append((
+            _KINDS[g.notion], g.voter * m + g.cols, g.budget, default, g.delegate * m + g.cols,
+            rank + np.arange(b * k).reshape(b, k), g.threshold, c, p, q,
+        ))
+        rank += 0 if g.notion is Notion.DIRECT else b * k
+    sizes = []
+    for rows in by_size.values():
+        rows.sort(key=lambda row: row[0])  # stable: plan order within a kind
+        kinds, *columns = zip(*rows)
+        own, budget, default, delegate, ranks, threshold, c, p, q = map(np.concatenate, columns)
+        starts = np.searchsorted(np.repeat(kinds, [len(cells) for cells in columns[0]]), range(5)).tolist()
+        keep, hard, shift, blend, fixed = (
+            slice(a, b) if b > a else None for a, b in zip(starts, [*starts[1:], len(own)])
+        )
+        live = starts[4]
+        sizes.append(SimpleNamespace(
+            own=own, budget=budget, default=default,
+            live=own[:live], delegate=delegate[:live], rank=ranks[:live], scale=budget[:live],
+            keep=keep and SimpleNamespace(rows=keep, own=own[keep]),
+            hard=hard and SimpleNamespace(rows=hard, default=default[hard], threshold=threshold[hard]),
+            shift=shift and SimpleNamespace(rows=shift, c=c[shift], offset=p[shift] * default[shift]),
+            blend=blend and SimpleNamespace(
+                rows=blend, default=default[blend], threshold=threshold[blend], p=p[blend], q=q[blend],
+            ),
+            fixed=fixed and SimpleNamespace(own=own[fixed], default=default[fixed]),
+        ))
+    return tuple(sizes)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -307,6 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status when the reader of stdout has gone: 128 + SIGPIPE, as a
+#: shell reports a command killed by the signal.
+_CLOSED_STDOUT = 141
+
+
 def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
@@ -319,13 +325,28 @@ def run_cli(argv=None) -> int:
         print("invalid instance:", file=sys.stderr)
         print(str(exc.report), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        return _CLOSED_STDOUT  # the reader has gone, as under ``| head``: nothing to report
     except (InstanceSyntaxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    closed = code == _CLOSED_STDOUT
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        closed = True
+        code = code or _CLOSED_STDOUT  # a failure keeps its own status
+    if closed:
+        # Python flushes stdout once more at exit; let that write go nowhere
+        # (the recipe of the "Note on SIGPIPE" in the ``signal`` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -248,24 +248,11 @@ class ElectionInstance:
         return tuple(groups)
 
     @cached_property
-    def _by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The plan's bundles regrouped by size ``k`` alone.
+    def _by_size(self) -> tuple:
+        """The plan regrouped by bundle size for the kernels: ``_columns.size_view``."""
+        from ._columns import size_view  # compiled on first use, like the parse
 
-        One ``(cells, budget)`` pair per size: ``cells`` ``(B_k, k)`` holds
-        the flat indices ``voter * m + column`` of each bundle's slice in a
-        raveled C-order matrix, ``budget`` is ``(B_k, 1)``.  Built from
-        ``_plan``, never from ``delegations``.
-        """
-        by_size: dict[int, list[_BundleGroup]] = {}
-        for g in self._plan:
-            by_size.setdefault(g.cols.shape[1], []).append(g)
-        return tuple(
-            (
-                np.concatenate([g.voter * self.m + g.cols for g in groups]),
-                np.concatenate([g.budget for g in groups]),
-            )
-            for groups in by_size.values()
-        )
+        return size_view(self._plan, self.m)
 
     @cached_property
     def free_dimensions(self) -> int:
@@ -481,8 +468,8 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
         return False
     flat = x.ravel()
     return not any(
-        np.any(np.abs(flat[cells].sum(axis=-1, keepdims=True) - budget) > tol)
-        for cells, budget in instance._by_size
+        np.any(np.abs(flat[size.own].sum(axis=-1, keepdims=True) - size.budget) > tol)
+        for size in instance._by_size
     )
 
 
@@ -534,6 +521,6 @@ def project_to_feasible(instance, y) -> np.ndarray:
         raise ValueError("projection input must be finite")
     flat = y.ravel()
     out = np.empty(flat.shape)
-    for cells, budget in instance._by_size:
-        out[cells] = _project_rows(flat[cells], budget)
+    for size in instance._by_size:
+        out[size.own] = _project_rows(flat[size.own], size.budget)
     return out.reshape(y.shape)

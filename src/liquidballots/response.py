@@ -5,35 +5,26 @@ Each operator answers one question for a delegated bundle: given the
 current solution matrix, how does voter ``v`` want her bundle budget split
 among the bundle's members?  All four answer it the same way: build a
 pre-image ``z`` from the delegate's slice ``y`` and rescale it to the
-bundle budget, ``z / sum(z) * budget``.  Only ``z`` depends on the notion:
+bundle budget, ``z / sum(z) * budget``.  With ``nu = sum(y)`` the
+delegate's support and ``d`` the default, every pre-image is
+``z = c*y + (p + q*nu)*d``; only the coefficients depend on the notion
+and on the side of the threshold ``1 / weight`` that ``nu`` is on:
 
-EP     exact proportionality: ``z = y``, the delegate's support ratios; if
-       the delegate gives the bundle nothing, the voter is already
-       satisfied and keeps her current slice.
-EP-T   hard threshold: ``z = y`` while the delegate's support
-       ``nu = sum(y)`` for the bundle reaches ``1 / weight``, the stored
-       default below that.
-EP-TI  thresholded with interpolation: ``z = y`` at or above the
-       threshold, the continuous blend ``z = y + (threshold - nu) *
-       default`` below it.
-WCC    weighted convex combination: always ``z = default + weight * y``.
+EP     ``z = y``; if the delegate gives the bundle nothing, the voter is
+       already satisfied and keeps her current slice.
+EP-T   ``z = y`` while ``nu`` reaches the threshold; below it the
+       response is the stored default itself.
+EP-TI  ``z = y`` at or above the threshold, the continuous blend
+       ``z = y + (threshold - nu)*d`` below it.
+WCC    ``z = d + weight*y`` on both sides.
 
-``_preimage`` builds ``z`` for every notion, ``_respond`` rescales it, and
-``_residual_gradient`` differentiates the same rescaling and pulls it back
-through the same ``z``, so each notion's formula is written once.
-
-``best_response`` runs off the instance's grouped plan: all bundles that
-share a notion and a size ``k`` are one group, holding ``(B, 1)`` voter
-and delegate rows, a ``(B, k)`` column table and ``(B, 1)`` budgets,
-weights and thresholds.  Each group costs one fancy-indexed gather, one
-``_respond`` call and one scatter, whatever the number of bundles;
-DIRECT singletons are one constant scatter.  Stacked input
-``(..., n, m)`` is evaluated in one pass, and the grid oracle relies on
-this.  The stack axis is walked in blocks of about ``_BLOCK`` gathered
-elements per group, so the kernel's temporaries stay small when a
-stack holds 100,000 matrices.  Every slice sum is a length-``k`` sum
-along the last axis, as in a per-bundle loop, so the results do not
-depend on the grouping.
+``ElectionInstance._by_size`` holds coefficients and fallbacks as columns,
+one record per bundle size with each kind of bundle in one slice of rows
+(``_columns.size_view``); no kernel here reads a notion.  ``best_response``
+costs one gather, ``_kernel`` call and scatter per bundle size, and takes
+a stack ``(..., n, m)`` in one pass, walked in blocks of about ``_BLOCK``
+gathered elements per size so that temporaries stay small.  Every slice
+sum runs along the last axis, as in a per-bundle loop.
 """
 
 from __future__ import annotations
@@ -42,55 +33,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Bundle, Notion
+from .model import Bundle
 
-#: Gathered elements per block of the stack axis, per group.
+#: Gathered elements per block of the stack axis, per bundle size.
 _BLOCK = 1 << 16
 
 
-def _preimage(cell, y):
-    """The vector each notion rescales, its sum, and the threshold mask.
+def _sum(z):
+    """``z.sum(axis=-1, keepdims=True)``, without the Python wrapper of ``ndarray.sum``."""
+    return np.add.reduce(z, axis=-1, keepdims=True)
 
-    ``y`` is the delegate's slice.  ``cell`` is one ``_BundleGroup``
-    (``(B, 1)`` parameters, slices ``(..., B, k)``) or any object with the
-    same fields as scalars, for one bundle's slice ``(..., k)``.  Returns
-    ``(z, s, below)``: the bundle response is ``z / s * budget``, ``s`` is
-    ``z``'s sum over the last axis, and ``below`` flags an EP-T or EP-TI slice
-    whose support ``nu = sum(y)`` is under the threshold (``None`` for the
-    other notions).  Where ``z`` is ``y`` itself, ``s`` is ``nu``.
+
+def _gather(block, cells):
+    """The cells ``(B, k)`` of every matrix of ``block`` ``(S, n * m)``, ``(S, B, k)``.
+
+    One matrix is gathered in C order, so its slice sums are pairwise from
+    8 members on.  A stack's slices are laid out stack axis innermost, as a
+    per-bundle gather lays them out, and summed left to right.
     """
-    if cell.notion is Notion.WCC:
-        z = cell.default + cell.weight * y
-        return z, z.sum(axis=-1, keepdims=True), None
-    nu = y.sum(axis=-1, keepdims=True)
-    if cell.notion is Notion.EP:
-        return y, nu, None
-    below = nu < cell.threshold
-    if cell.notion is Notion.EP_T:
-        return y, nu, below
-    if cell.notion is Notion.EP_TI:
-        # the default's share grows as the support falls from the threshold
-        blend = y + (cell.threshold - nu) * cell.default
-        s = np.where(below, blend.sum(axis=-1, keepdims=True), nu)
-        return np.where(below, blend, y), s, below
-    raise AssertionError(f"unexpected notion {cell.notion}")
+    return block[:, cells]
 
 
-def _respond(cell, delegate_slice, current_slice):
-    """Best response of a group of bundles, or of one bundle.
+def _affine(size, y):
+    """Turn the delegates' slices ``y`` ``(..., L, k)`` into pre-images, in place.
 
-    Rescales the notion's pre-image to the bundle budget, then applies the
-    two fallbacks: EP keeps ``current_slice`` where its delegate gives the
-    bundle nothing, and EP-T takes the default below its threshold.
+    ``shift`` rows become ``z = c*y + p*d``, ``blend`` rows ``z = y + (p +
+    q*nu)*d`` below their threshold; other rows keep ``z = y``, signed
+    zeros included.  Returns ``s``, the sums of ``z``, and the ``blend``
+    rows' flags of a support below the threshold (or ``None``).
     """
-    z, s, below = _preimage(cell, delegate_slice)
-    response = z / np.where(s != 0.0, s, 1.0) * cell.budget
-    if cell.notion is Notion.EP:
+    if size.shift is not None:
+        z = y[..., size.shift.rows, :]
+        z *= size.shift.c
+        z += size.shift.offset
+    a, below = size.blend, None
+    if a is not None:
+        z = y[..., a.rows, :]
+        nu = _sum(z)
+        below = nu < a.threshold
+        blend = z + (a.p + a.q * nu) * a.default
+        np.copyto(z, blend, where=below)
+    s = _sum(y)
+    if below is not None and y.ndim > 2 and len(y) > 1 and y.shape[-1] >= 8:
+        # the blend's (..., L, 1) support lays it out in C order, so a
+        # stack sums it pairwise, as the per-bundle formula always has
+        s[..., a.rows, :] = np.where(below, _sum(blend), s[..., a.rows, :])
+    return s, below
+
+
+def _kernel(size, block):
+    """Best response of a size record's live rows for every matrix of ``block``.
+
+    ``block`` is ``(S, n * m)``; the result is ``(S, L, k)``: each
+    pre-image rescaled to the budget, ``keep`` rows' own slices where the
+    support is not positive, ``hard`` rows' defaults below the threshold.
+    """
+    y = _gather(block, size.delegate)
+    s, _ = _affine(size, y)
+    response = y / (s + (s == 0.0)) * size.scale  # divisor 1 at s == 0, with no select
+    if size.keep is not None:
         # zero delegate support: any split is acceptable, keep the current
         # one so satisfied voters stay fixed under iteration
-        return np.where(s > 0.0, response, current_slice)
-    if cell.notion is Notion.EP_T:
-        return np.where(below, cell.default, response)
+        rows = size.keep.rows
+        np.copyto(response[..., rows, :], _gather(block, size.keep.own), where=~(s[..., rows, :] > 0.0))
+    if size.hard is not None:
+        rows = size.hard.rows
+        np.copyto(response[..., rows, :], size.hard.default, where=s[..., rows, :] < size.hard.threshold)
     return response
 
 
@@ -127,22 +135,22 @@ def best_response(x, instance) -> np.ndarray:
         )
     if not np.isfinite(x).all():
         raise ValueError("best-response input must be finite")
-    stack = x.reshape((-1,) + x.shape[-2:])
+    stack = np.ascontiguousarray(x).reshape(-1, instance.n * instance.m)
     out = np.empty(stack.shape)
-    for g in instance._plan:
-        if g.notion is Notion.DIRECT:
-            out[:, g.voter, g.cols] = g.budget
+    for size in instance._by_size:
+        if size.fixed is not None:
+            out[:, size.fixed.own] = size.fixed.default
+        if not size.delegate.size:
             continue
-        # Blocks of at least two matrices keep the gathered slices laid out
-        # as in a per-bundle gather, stack axis innermost, which fixes the
-        # order of the slice sums (it matters from k = 8 on).
-        blocks = max(1, len(stack) // max(2, _BLOCK // g.cols.size))
+        # Blocks of at least two matrices sum their slices left to right,
+        # as a per-bundle gather does (it matters from k = 8 on).
+        blocks = len(stack) // max(2, _BLOCK // size.delegate.size)
+        if blocks <= 1:
+            out[:, size.live] = _kernel(size, stack)
+            continue
         bounds = [len(stack) * i // blocks for i in range(blocks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
-            block = stack[lo:hi]
-            out[lo:hi, g.voter, g.cols] = _respond(
-                g, block[:, g.delegate, g.cols], block[:, g.voter, g.cols]
-            )
+            out[lo:hi, size.live] = _kernel(size, stack[lo:hi])
     return out.reshape(x.shape)
 
 
@@ -177,11 +185,13 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
     ``fx`` is ``best_response(x, instance)``.  The gradient is
     ``2 (J_f^T r - r)`` with ``r = fx - x``.  Every bundle response is
     the rescaling ``z -> z / s * budget`` of the pre-image ``z`` that
-    ``_preimage`` builds from the delegate's slice ``y`` alone, so
-    ``J_f^T r`` is one gather and one scatter-add per group: the
-    rescaling's vector-Jacobian product ``budget / s * (u - (z . u) / s)``,
-    with ``u`` the bundle's cells of ``r``, pulled back through ``z(y)``.
-    DIRECT cells are constant and contribute nothing.
+    ``_affine`` builds from the delegate's slice ``y`` alone, so
+    ``J_f^T r`` is one gather per bundle size and one scatter-add: the
+    rescaling's vector-Jacobian product ``w = budget / s * (u - (z . u) /
+    s)``, with ``u`` the bundle's cells of ``r``, pulled back through
+    ``z(y) = c*y + (p + q*nu)*d`` as ``c*w + q*(d . w)``.  DIRECT
+    cells are constant and pull nothing back.  Each cell
+    sums its contributions in plan order, as the per-group loop did.
 
     At the two kinks of the map the derivative is the one-sided one of
     the branch that ``best_response`` takes.  An EP bundle whose delegate
@@ -189,28 +199,30 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
     0 and it pulls nothing back onto the delegate's slice: the derivative
     from below, where the support stays zero.  An EP-TI bundle exactly at
     its threshold is on the proportional branch: the derivative from
-    above.  EP-T has no gradient and is refused by the caller.
+    above.  EP-T jumps at its threshold; the caller refuses it.
     """
     r = fx - x
-    pulled = np.zeros_like(x)  # J_f^T r
-    for g in instance._plan:
-        if g.notion is Notion.DIRECT:
-            continue
-        if g.notion is Notion.EP_T:
+    flat, residual = np.ravel(x), r.ravel()
+    count = sum(size.rank.size for size in instance._by_size)
+    cells, pulled = np.empty(count, dtype=np.intp), np.empty(count)  # J_f^T r, in plan order
+    for size in instance._by_size:
+        if size.hard is not None:
             raise AssertionError("no gradient for notion EP-T")
-        u = r[g.voter, g.cols]
-        z, s, below = _preimage(g, x[g.delegate, g.cols])
-        safe = np.where(s != 0.0, s, 1.0)
-        w = g.budget / safe * (u - (z * u).sum(axis=-1, keepdims=True) / safe)
-        # pull back through z(y): the identity for EP and for EP-TI at or
-        # above its threshold
-        if g.notion is Notion.WCC:
-            w *= g.weight
-        elif g.notion is Notion.EP_TI:
-            w -= np.where(below, (g.default * w).sum(axis=-1, keepdims=True), 0.0)
-        # delegates repeat inside a group, so the scatter must accumulate
-        np.add.at(pulled, (g.delegate, g.cols), w)
-    return 2.0 * (pulled - r)
+        y = flat[size.delegate]
+        s, below = _affine(size, y)
+        safe = s + (s == 0.0)
+        u = residual[size.live]
+        w = size.scale / safe * (u - _sum(y * u) / safe)
+        if size.shift is not None:
+            w[size.shift.rows] *= size.shift.c
+        if size.blend is not None:
+            a = size.blend
+            v = w[a.rows]
+            np.copyto(v, v + a.q * _sum(a.default * v), where=below)
+        cells[size.rank] = size.delegate
+        pulled[size.rank] = w
+    # delegates repeat, so the scatter must accumulate
+    return 2.0 * (np.bincount(cells, pulled, minlength=x.size).reshape(x.shape) - r)
 
 
 def residual_norms(x, instance, fx=None) -> tuple[float, float]:

@@ -42,7 +42,7 @@ from .model import (
     is_feasible,
     project_to_feasible,
 )
-from .response import _preimage, _residual_gradient, best_response, residual_norms
+from .response import _residual_gradient, best_response, residual_norms
 
 #: First trial step of each descent line search, and the factor that
 #: backtracking multiplies it by.
@@ -108,15 +108,10 @@ def initial_point(instance, mode="defaults") -> np.ndarray:
     """
     if mode not in ("defaults", "even-split"):
         raise ValueError(f"unknown initial point mode {mode!r}")
-    x = np.zeros((instance.n, instance.m))
-    for g in instance._plan:
-        if g.notion is Notion.DIRECT:
-            x[g.voter, g.cols] = g.budget
-        elif mode == "defaults":
-            x[g.voter, g.cols] = g.default
-        else:
-            x[g.voter, g.cols] = g.budget / g.cols.shape[-1]
-    return x
+    x = np.zeros(instance.n * instance.m)
+    for size in instance._by_size:
+        x[size.own] = size.default if mode == "defaults" else size.budget / size.own.shape[1]
+    return x.reshape(instance.n, instance.m)
 
 
 def _track(instance, x, fx, cfg, step) -> SolveReport:
@@ -287,7 +282,7 @@ def _residuals(instance, base, enumerated, delegated):
                 if bundle.notion is Notion.EP:
                     # no delegate support: the slice keeps its own cells, so
                     # its residual is 0; NaN marks it for np.fmax to skip
-                    supported = _preimage(bundle, xs[:, delegate, cols])[1] > 0.0
+                    supported = xs[:, delegate, cols].sum(axis=-1, keepdims=True) > 0.0
                     response = np.where(supported, response, np.nan)
                 table[start : start + len(xs)] = response
         shape = [r if a in scope else 1 for a, r in enumerate(radices)]

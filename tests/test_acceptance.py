@@ -8,7 +8,6 @@ against live regeneration (see ``tests/fixtures/README.md``).
 
 import json
 import time
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.testing import assert_allclose
@@ -172,25 +171,24 @@ def test_criterion_07_feasibility_preservation():
 
 
 def test_criterion_08_epti_boundary_continuity():
-    from liquidballots.response import _preimage, _respond
+    from test_grouped_plan import epti_record
+
+    from liquidballots.response import _affine, _kernel
 
     rng = np.random.default_rng(8)
     for _ in range(1000):
         k = int(rng.integers(2, 6))
         budget = float(rng.uniform(0.1, 1.0))
         threshold = float(rng.uniform(0.05, 0.95))
-        y = rng.dirichlet(np.ones(k)) * threshold
+        y = rng.dirichlet(np.ones(k))[None] * threshold
         default = rng.dirichlet(np.ones(k)) * budget
         at_boundary = float(y.sum())  # delegate support exactly at threshold
         # one EP-TI bundle at the threshold (proportional branch) and one
         # ulp above it (interpolated branch)
-        at, above = (
-            SimpleNamespace(notion=Notion.EP_TI, budget=budget, threshold=t, default=default)
-            for t in (at_boundary, np.nextafter(at_boundary, np.inf))
-        )
-        assert not _preimage(at, y)[2] and _preimage(above, y)[2]
-        prop = _respond(at, y, y)
-        interp = _respond(above, y, y)
+        at, above = (epti_record(budget, t, default) for t in (at_boundary, np.nextafter(at_boundary, np.inf)))
+        assert not _affine(at, y.copy())[1] and _affine(above, y.copy())[1]
+        prop = _kernel(at, y)
+        interp = _kernel(above, y)
         assert np.abs(prop - interp).max() <= 1e-12
     passed(8, "proportional and blended branches agree at the threshold")
 

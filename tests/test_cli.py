@@ -2,6 +2,8 @@
 
 import copy
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import liquidballots
 from liquidballots import (
     Notion,
     fixtures,
@@ -229,19 +232,74 @@ class ClosedStdout:
          "--seed", "7", "--budget", "30", "--out", "{dir}/finding.json"],
     ],
 )
-def test_requested_files_survive_a_closed_stdout(tmp_path, epti_file, monkeypatch, argv):
+def test_requested_files_survive_a_closed_stdout(tmp_path, epti_file, monkeypatch, capsys, argv):
     def run(directory):
         directory.mkdir()
         return run_cli([arg.format(epti=epti_file, dir=directory) for arg in argv])
 
     assert run(tmp_path / "normal") == 0
+    capsys.readouterr()
     monkeypatch.setattr(sys, "stdout", ClosedStdout())
-    run(tmp_path / "closed")
+    assert run(tmp_path / "closed") == 141  # 128 + SIGPIPE, quietly
+    assert capsys.readouterr().err == ""
     written = sorted(path.name for path in (tmp_path / "normal").iterdir())
     assert written == sorted(path.name for path in (tmp_path / "closed").iterdir())
     assert len(written) == argv.count("--out") + argv.count("--trace")
     for name in written:
         assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+
+#: The directory this test run imports ``liquidballots`` from.
+SOURCE = str(Path(liquidballots.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_pipe_closed_before_the_start_ends_quietly(unbuffered):
+    """The reader of stdout is gone before the first write.  Buffered, the
+    write fails at the final flush; unbuffered, at the first ``print``."""
+    env = dict(os.environ, PYTHONPATH=SOURCE, PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "liquidballots.cli", "reproduce", "example-ep"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def test_a_failure_keeps_its_status_when_stdout_is_closed(ept_file):
+    """The grid search prints its report into the buffer and then fails;
+    the closed pipe only shows at the final flush, after the status 1."""
+    argv = ["solve", ept_file, "--strategy", "grid", "--tol", "0.01", "--grid-resolution", "0.05"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "liquidballots.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SOURCE, PYTHONUNBUFFERED=""), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr.decode().splitlines()[-1].endswith("best residual 0.05")
+    assert b"BrokenPipeError" not in done.stderr
+
+
+def test_importing_the_package_stays_lean():
+    """``import liquidballots`` compiles the eight eager modules and no more:
+    the columnar parse and the size view (``_columns``) and the command
+    line (``cli``, ``argparse``) load on first use."""
+    probe = "import sys, liquidballots; print(sorted(m for m in sys.modules if m.startswith(('liquidballots', 'argparse'))))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SOURCE),
+    )
+    assert done.returncode == 0, done.stderr
+    eager = ["counterexamples", "fixtures", "io", "model", "qcqp", "response", "solvers"]
+    assert done.stdout.split("\n")[0] == str(["liquidballots", *(f"liquidballots.{name}" for name in eager)])
 
 
 def test_search_reports_exhausted_budget(capsys):

@@ -12,6 +12,10 @@ it nothing (the voter's own slice is kept until the support rises above
 zero), from above at an EP-TI bundle exactly at its threshold (the
 proportional branch is inclusive).  Points within 1e-4 of a kink, but
 not on it, are skipped: there the differences straddle it.
+
+``reference_grouped_gradient`` is the gradient as it was computed one
+(notion, size) group at a time, before the gradient read the size view;
+the size view's gradient must match it bit for bit.
 """
 
 import dataclasses
@@ -19,15 +23,28 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from test_grouped_plan import mixed_instance, probe_matrices, reference_plan
+from test_grouped_plan import (
+    assert_same_bits,
+    edge_instance,
+    edge_matrices,
+    mixed_instance,
+    probe_matrices,
+    reference_plan,
+    reference_preimage,
+)
 
 from liquidballots import (
     Bundle,
     ElectionInstance,
     Notion,
     best_response,
+    parse_instance,
     project_to_feasible,
+    serialize_instance,
     solvers,
 )
 from liquidballots.response import _residual_gradient
@@ -59,6 +76,28 @@ def fd_gradient(x, instance, side, h=FD_STEP):
     below = (3.0 * here - 4.0 * down + down2) / (2.0 * h)
     side = side.ravel()
     return np.where(side > 0, above, np.where(side < 0, below, central)).reshape(n, m)
+
+
+def reference_grouped_gradient(x, instance, fx):
+    """``response._residual_gradient`` as it was: one gather, pull-back and
+    ``np.add.at`` per (notion, size) group, in plan order."""
+    r = fx - x
+    pulled = np.zeros_like(x)
+    for g in instance._plan:
+        if g.notion is Notion.DIRECT:
+            continue
+        if g.notion is Notion.EP_T:
+            raise AssertionError("no gradient for notion EP-T")
+        u = r[g.voter, g.cols]
+        z, s, below = reference_preimage(g, x[g.delegate, g.cols])
+        safe = np.where(s != 0.0, s, 1.0)
+        w = g.budget / safe * (u - (z * u).sum(axis=-1, keepdims=True) / safe)
+        if g.notion is Notion.WCC:
+            w *= g.weight
+        elif g.notion is Notion.EP_TI:
+            w -= np.where(below, (g.default * w).sum(axis=-1, keepdims=True), 0.0)
+        np.add.at(pulled, (g.delegate, g.cols), w)
+    return 2.0 * (pulled - r)
 
 
 def continuous(instance):
@@ -187,3 +226,55 @@ def test_descent_evaluates_the_map_once_per_trial():
         )
     assert report.iterations > 0
     assert calls["map"] == calls["project"] + 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    m=st.integers(1, 13),
+    signed_zeros=st.booleans(),
+    columnar=st.booleans(),
+)
+def test_gradient_matches_the_grouped_loop(seed, n, m, signed_zeros, columnar):
+    """Probes with EP delegates at zero support and EP-TI ones exactly at
+    their thresholds, their projections, and bundles of up to 13 members."""
+    rng = np.random.default_rng(seed)
+    source = continuous(mixed_instance(rng, n, m))
+    probes = probe_matrices(rng, source, 4)
+    if signed_zeros:
+        probes[(probes == 0.0) & (rng.random(probes.shape) < 0.5)] = -0.0
+    instance = parse_instance(serialize_instance(source)) if columnar else source
+    for x in (*probes, *(project_to_feasible(instance, y) for y in probes[:2])):
+        fx = best_response(x, instance)
+        assert_same_bits(_residual_gradient(x, instance, fx), reference_grouped_gradient(x, instance, fx))
+    if columnar:
+        assert "delegations" not in instance.__dict__
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_gradient_matches_the_grouped_loop_at_every_edge(zero):
+    instance = continuous(edge_instance())
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        for x in edge_matrices(rng, instance, zero):
+            fx = best_response(x, instance)
+            assert_same_bits(_residual_gradient(x, instance, fx), reference_grouped_gradient(x, instance, fx))
+
+
+def test_gradient_sums_each_cell_in_plan_order():
+    """Every delegated bundle goes to one guru, so each of the guru's
+    cells sums contributions from bundles of every size, and the plan's
+    groups interleave the sizes.  Float addition is not associative:
+    only the plan order reproduces the grouped loop's sums."""
+    for seed in range(10):
+        source = continuous(mixed_instance(np.random.default_rng(seed), 16, 6))
+        rows = tuple(
+            tuple(b if b.notion is Notion.DIRECT else dataclasses.replace(b, delegate="v0") for b in bundles)
+            for bundles in source.delegations
+        )
+        instance = ElectionInstance(source.candidates, source.voters, rows)
+        for y in np.random.default_rng(seed).random((5, 16, 6)):
+            x = project_to_feasible(instance, y)
+            fx = best_response(x, instance)
+            assert_same_bits(_residual_gradient(x, instance, fx), reference_grouped_gradient(x, instance, fx))

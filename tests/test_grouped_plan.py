@@ -19,6 +19,12 @@ plan by bundle size alone.  ``reference_grouped_project`` and
 replaced, the projection's ``take_along_axis`` included; they cover
 rows the one-dimensional reference cannot, such as a row in which no
 prefix passes the threshold test.
+
+``best_response``, ``initial_point`` and the exact gradient now read the
+same size view, one notion-free kernel per bundle size.
+``reference_grouped_best_response`` keeps the per-(notion, size) loop
+they replaced, with its ``reference_preimage`` and ``reference_respond_group``,
+and the size kernel must match it bit for bit, signed zeros included.
 """
 
 import math
@@ -47,6 +53,8 @@ from liquidballots import (
     serialize_instance,
     validate_instance,
 )
+from liquidballots._columns import size_view
+from liquidballots.model import _BundleGroup
 
 
 def reference_plan(instance):
@@ -199,6 +207,75 @@ def reference_initial_point(instance, mode):
         else:
             x[cell.voter, cell.cols] = cell.budget / len(cell.cols)
     return x
+
+
+def reference_preimage(cell, y):
+    """``response._preimage`` as it was: the vector each notion rescales,
+    its sum, and the threshold mask, by a branch on the notion."""
+    if cell.notion is Notion.WCC:
+        z = cell.default + cell.weight * y
+        return z, z.sum(axis=-1, keepdims=True), None
+    nu = y.sum(axis=-1, keepdims=True)
+    if cell.notion is Notion.EP:
+        return y, nu, None
+    below = nu < cell.threshold
+    if cell.notion is Notion.EP_T:
+        return y, nu, below
+    if cell.notion is Notion.EP_TI:
+        blend = y + (cell.threshold - nu) * cell.default
+        s = np.where(below, blend.sum(axis=-1, keepdims=True), nu)
+        return np.where(below, blend, y), s, below
+    raise AssertionError(f"unexpected notion {cell.notion}")
+
+
+def reference_respond_group(cell, delegate_slice, current_slice):
+    """``response._respond`` as it was."""
+    z, s, below = reference_preimage(cell, delegate_slice)
+    response = z / np.where(s != 0.0, s, 1.0) * cell.budget
+    if cell.notion is Notion.EP:
+        return np.where(s > 0.0, response, current_slice)
+    if cell.notion is Notion.EP_T:
+        return np.where(below, cell.default, response)
+    return response
+
+
+def reference_grouped_best_response(x, instance):
+    """``best_response`` as it was: one gather, ``_respond`` and scatter
+    per (notion, size) group, the stack walked in ``_BLOCK`` blocks."""
+    x = np.asarray(x, dtype=float)
+    stack = x.reshape((-1,) + x.shape[-2:])
+    out = np.empty(stack.shape)
+    for g in instance._plan:
+        if g.notion is Notion.DIRECT:
+            out[:, g.voter, g.cols] = g.budget
+            continue
+        blocks = max(1, len(stack) // max(2, response._BLOCK // g.cols.size))
+        bounds = [len(stack) * i // blocks for i in range(blocks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = stack[lo:hi]
+            out[lo:hi, g.voter, g.cols] = reference_respond_group(
+                g, block[:, g.delegate, g.cols], block[:, g.voter, g.cols]
+            )
+    return out.reshape(x.shape)
+
+
+def epti_record(budget, threshold, default):
+    """The size record of one EP-TI bundle over ``len(default)`` candidates,
+    delegated to its own voter, with an arbitrary ``threshold``."""
+    k = len(default)
+    group = _BundleGroup(
+        notion=Notion.EP_TI,
+        index=np.array([0]),
+        voter=np.array([[0]]),
+        delegate=np.array([[0]]),
+        cols=np.arange(k)[None],
+        budget=np.array([[budget]]),
+        weight=np.array([[1.0 / threshold]]),
+        threshold=np.array([[threshold]]),
+        default=np.asarray(default, dtype=float)[None],
+    )
+    (record,) = size_view((group,), k)
+    return record
 
 
 #: Weights whose threshold ``1 / weight`` is exact, plus a few that are not.
@@ -482,3 +559,104 @@ def test_groups_cover_every_bundle_once():
     }
     assert cells == {(v, c) for v in range(instance.n) for c in range(instance.m)}
 
+
+def edge_instance(copies=1):
+    """Every notion at its edges, over ten candidates.
+
+    ``g`` votes DIRECT singletons.  ``a`` delegates one-member EP, EP-T,
+    EP-TI and WCC bundles to ``g``, next to two DIRECT singletons of its
+    own, so all of them share the size-1 block.  ``copies`` voters each
+    delegate nine-member EP, EP-T, EP-TI and WCC bundles to ``g``.  Every
+    weight is 2, so every threshold is exactly 0.5.
+    """
+    cs = tuple(f"c{i}" for i in range(10))
+    d1, d9 = (0.1,), (0.1,) * 9
+    a = (
+        Bundle(cs[0:1], 0.1, "g", Notion.EP),
+        Bundle(cs[1:2], 0.1, "g", Notion.EP_T, 2.0, d1),
+        Bundle(cs[2:3], 0.1, "g", Notion.EP_TI, 2.0, d1),
+        Bundle(cs[3:4], 0.1, "g", Notion.WCC, 2.0, d1),
+        Bundle(cs[4:5], 0.1, "a", Notion.DIRECT),
+        Bundle(cs[5:6], 0.1, "a", Notion.DIRECT),
+        Bundle(cs[6:], 0.4, "g", Notion.EP_TI, 2.0, (0.1, 0.1, 0.1, 0.1)),
+    )
+    voters = [f"{notion.value}{i}" for i in range(copies) for notion in DELEGATED]
+    nine = [
+        (Bundle(cs[:9], 0.9, "g", notion, *(() if notion is Notion.EP else (2.0, d9))),
+         Bundle(cs[9:], 0.1, voter, Notion.DIRECT))
+        for voter, notion in zip(voters, DELEGATED * copies)
+    ]
+    g = tuple(Bundle((c,), 0.1, "g", Notion.DIRECT) for c in cs)
+    instance = ElectionInstance(cs, ("g", "a", *voters), (g, a, *nine))
+    assert validate_instance(instance).ok
+    return instance
+
+
+def edge_matrices(rng, instance, zero):
+    """Random matrices whose delegate row ``g`` sits on every edge in turn.
+
+    Row ``g`` holds, in order: zero support everywhere; exactly 0.5 in the
+    one-member cells and in the nine-member slice; one ulp under that;
+    random entries.  ``zero`` fills the empty cells: 0.0 or -0.0.
+    """
+    xs = rng.random((8, instance.n, instance.m)) * (rng.random((8, instance.n, instance.m)) < 0.6)
+    xs[xs == 0.0] = zero
+    under = np.nextafter(0.5, 0.0)
+    xs[0, 0, :9] = zero
+    xs[1, 0, :9] = (0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)  # one-member bundles at 0.5
+    xs[2, 0, :9] = (0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.0)  # nine-member slice at 0.5
+    xs[3, 0, :9] = (0.0, under, under, under, 0.0, 0.0, 0.0, 0.0, under)
+    xs[4, 0, :9] = (under / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, under / 2)
+    xs[xs == 0.0] = zero
+    return xs
+
+
+def assert_same_bits(got, expected):
+    assert_array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    m=st.integers(1, 13),
+    stack=st.sampled_from([(), (1,), (2,), (5,), (3, 4)]),
+    block=st.sampled_from([7, response._BLOCK]),
+    signed_zeros=st.booleans(),
+    columnar=st.booleans(),
+)
+def test_size_kernel_matches_the_grouped_loop(seed, n, m, stack, block, signed_zeros, columnar):
+    """DIRECT singletons share the size-1 block with one-member delegated
+    bundles, up to 13 candidates give bundles of 8 or more members, and
+    the probes put EP delegates at zero support and thresholded ones
+    exactly at their thresholds."""
+    rng = np.random.default_rng(seed)
+    source = mixed_instance(rng, n, m)
+    count = int(np.prod(stack, dtype=int))
+    xs = probe_matrices(rng, source, count)
+    if signed_zeros:
+        xs[(xs == 0.0) & (rng.random(xs.shape) < 0.5)] = -0.0
+    instance = parse_instance(serialize_instance(source)) if columnar else source
+    x = xs.reshape(stack + (n, m))
+    with mock.patch.object(response, "_BLOCK", block):
+        assert_same_bits(best_response(x, instance), reference_grouped_best_response(x, instance))
+    for single in xs[:3]:
+        assert_same_bits(best_response(single, instance), reference_grouped_best_response(single, instance))
+    if columnar:  # the size view is cut from the plan alone
+        assert "delegations" not in instance.__dict__
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("copies", [1, 9])
+def test_size_kernel_matches_the_grouped_loop_at_every_edge(zero, copies):
+    """Nine copies put 36 rows in the nine-member block, so its slices are
+    summed over stacks of two and three matrices as well as singly."""
+    instance = edge_instance(copies)
+    assert {size.own.shape[1] for size in instance._by_size} == {1, 4, 9}
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        xs = edge_matrices(rng, instance, zero)
+        assert_same_bits(best_response(xs, instance), reference_grouped_best_response(xs, instance))
+        for x in (xs[:2], xs[:3], *xs[:5]):
+            assert_same_bits(best_response(x, instance), reference_grouped_best_response(x, instance))

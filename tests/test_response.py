@@ -1,12 +1,11 @@
 """Per-notion best-response operators and the assembled response map."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from test_grouped_plan import epti_record
 
 from liquidballots import (
     Bundle,
@@ -21,7 +20,7 @@ from liquidballots import (
     project_to_feasible,
     residual_norms,
 )
-from liquidballots.response import _preimage, _respond
+from liquidballots.response import _affine, _kernel
 
 CROSSED = fixtures.crossed_thresholds(Notion.EP_TI)
 
@@ -100,16 +99,13 @@ def test_epti_on_crossed_solution_slice():
     st.floats(0.1, 1.0),
 )
 def test_epti_branches_agree_at_threshold(raw, budget, scale):
-    y = np.array(raw) * scale
+    y = np.array(raw)[None] * scale
     nu = float(y.sum())
-    default = np.full(len(y), budget / len(y))
-    at, above = (
-        SimpleNamespace(notion=Notion.EP_TI, budget=budget, threshold=t, default=default)
-        for t in (nu, np.nextafter(nu, np.inf))
-    )
-    assert not _preimage(at, y)[2] and _preimage(above, y)[2]
-    prop = _respond(at, y, y)
-    interp = _respond(above, y, y)
+    default = np.full(y.shape[-1], budget / y.shape[-1])
+    at, above = (epti_record(budget, t, default) for t in (nu, np.nextafter(nu, np.inf)))
+    assert not _affine(at, y.copy())[1] and _affine(above, y.copy())[1]
+    prop = _kernel(at, y)
+    interp = _kernel(above, y)
     assert_allclose(prop, interp, atol=1e-12)
 
 
