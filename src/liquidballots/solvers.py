@@ -16,8 +16,8 @@ Three ways to hunt for a point with small residual ``f(x) - x``:
   delegate scope (the delegate's slices that share a column with it),
   and a grid point's residual is the max over slices of the distance
   from the tabulated response to the slice's own cells.  The cost is the
-  sum of the table sizes plus one broadcast pass over the grid, not one
-  map evaluation per grid point.
+  sum of the table sizes plus about one broadcast pass per slice over
+  the grid, not one map evaluation per grid point.
 
 The first two are step rules of one loop, ``_track``, which records the
 ``(l1, linf)`` residual of every iterate and the best iterate so far.  It
@@ -222,15 +222,6 @@ class GridSearchResult:
     points: int
 
 
-def _lex_smaller(a, b) -> bool:
-    """True iff flattened ``a`` precedes flattened ``b`` lexicographically."""
-    af, bf = a.ravel(), b.ravel()
-    idx = np.nonzero(af != bf)[0]
-    if len(idx) == 0:
-        return False
-    return af[idx[0]] < bf[idx[0]]
-
-
 def _matrices(base, slices, flat) -> np.ndarray:
     """The grid matrices at the mixed-radix indices ``flat``.
 
@@ -245,6 +236,22 @@ def _matrices(base, slices, flat) -> np.ndarray:
     return xs
 
 
+def _fold(cells, digits, into=None, buffer=None):
+    """Fold ``|f - x|`` of ``cells`` at the leading ``digits`` into ``into``, in place.
+
+    Without ``into``, folds into the first cell's distances; ``buffer``
+    holds each distance if given.  ``np.fmax`` skips NaN cells.
+    """
+    for cell in cells:
+        responses, values = (
+            t[tuple(d if t.shape[a] > 1 else 0 for a, d in enumerate(digits))] for t in cell
+        )
+        diff = np.subtract(responses, values, out=buffer)
+        np.abs(diff, out=diff)
+        into = diff if into is None else np.fmax(into, diff, out=into)
+    return into
+
+
 def _residuals(instance, base, enumerated, delegated):
     """Chunks ``(start, residuals)`` of the grid's linf residuals, in scan order.
 
@@ -255,9 +262,11 @@ def _residuals(instance, base, enumerated, delegated):
     ``best_response`` sums a single matrix's slices pairwise but a
     stack's left to right.  Each cell's responses get one axis per grid
     digit, of length 1 outside the scope, and its own values one axis at
-    its slice's digit.  A chunk of the scan fixes the leading digits,
-    broadcasts over the trailing ones and folds ``|f - x|`` into a
-    running max cell by cell.
+    its slice's digit.  A chunk fixes the leading digits and broadcasts
+    over the trailing ones.  A slice's cells fold at the shape of its own
+    and its scope's digits (once per scan if it reads no leading digit),
+    then into the chunk with one ``np.fmax``, or straight into a chunk
+    they span.  The next chunk overwrites each yielded ``residuals``.
     """
     radices = [len(values) for *_, values in enumerated]
     scopes = {}  # delegate scope -> member slices
@@ -268,7 +277,16 @@ def _residuals(instance, base, enumerated, delegated):
             if row == delegate and not cols.isdisjoint(other)
         )
         scopes.setdefault(scope, []).append(p)
-    cells = []  # (responses, own values) of each enumerated cell
+    lead = 0  # leading digits, fixed within a chunk
+    while math.prod(radices[lead:]) > _GRID_CHUNK:
+        lead += 1
+    trail = tuple(radices[lead:])
+    inner = math.prod(trail)
+    outer = math.prod(radices[:lead])
+    per_chunk = _GRID_CHUNK // inner
+    spans = {a for a in range(lead, len(radices)) if radices[a] > 1}
+    fixed = np.zeros(())  # slices that read no leading digit, folded once
+    chunked = []  # (cells, spans the chunk) of the other slices
     for scope, members in scopes.items():
         slices = [enumerated[s] for s in scope]
         size = math.prod(radices[s] for s in scope)
@@ -288,15 +306,13 @@ def _residuals(instance, base, enumerated, delegated):
         shape = [r if a in scope else 1 for a, r in enumerate(radices)]
         for p, table in tables.items():
             own = [r if a == p else 1 for a, r in enumerate(radices)]
-            cells.extend(zip(table.T.reshape([-1] + shape), enumerated[p][2].T.reshape([-1] + own)))
-
-    lead = 0  # leading digits, fixed within a chunk
-    while math.prod(radices[lead:]) > _GRID_CHUNK:
-        lead += 1
-    trail = tuple(radices[lead:])
-    inner = math.prod(trail)
-    outer = math.prod(radices[:lead])
-    per_chunk = _GRID_CHUNK // inner
+            cells = list(zip(table.T.reshape([-1] + shape), enumerated[p][2].T.reshape([-1] + own)))
+            reads = {a for a in scope + (p,) if radices[a] > 1}
+            if reads.isdisjoint(range(lead)):  # its leading axes have length 1
+                fixed = np.fmax(fixed, _fold(cells, ())[(0,) * lead])
+            else:
+                chunked.append((cells, spans <= reads))
+    buffers = np.empty((2, min(per_chunk, outer)) + trail)  # reused by every chunk
     for first in range(0, outer, per_chunk):
         stop = min(first + per_chunk, outer)
         rest = np.arange(first, stop)
@@ -304,14 +320,13 @@ def _residuals(instance, base, enumerated, delegated):
         for radix in reversed(radices[:lead]):
             rest, digit = np.divmod(rest, radix)
             digits.insert(0, digit)
-
-        def at(table):
-            return tuple(d if table.shape[a] > 1 else 0 for a, d in enumerate(digits))
-
-        residuals = np.zeros((stop - first,) + trail)
-        for responses, values in cells:
-            diff = responses[at(responses)] - values[at(values)]
-            np.fmax(residuals, np.abs(diff), out=residuals)
+        residuals, distances = buffers[:, : stop - first]
+        np.copyto(residuals, fixed)
+        for cells, whole in chunked:
+            if whole:
+                _fold(cells, digits, residuals, distances)
+            else:
+                np.fmax(residuals, _fold(cells, digits), out=residuals)
         yield first * inner, residuals.reshape(-1)
 
 
@@ -330,9 +345,10 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
     delegate scope).  Slices with one delegate scope share one table of
     responses over that scope's grid points, and a grid point's residual
     is the max over slices of the distance from the tabulated response
-    to the slice's own cells, taken by broadcasting.  The cost is the
-    tables' grid points plus one broadcast pass, not one map evaluation
-    per grid point.
+    to the slice's own cells, folded over the slice's own digit and its
+    scope's, then into the grid with one ``np.fmax``.  The cost is the
+    tables' grid points plus about one pass per slice, not one map
+    evaluation per grid point; one ``np.lexsort`` per chunk breaks ties.
 
     Cost still grows exponentially with the free dimensions, so
     instances with more than 8 of them (sum of bundle size minus one)
@@ -351,6 +367,7 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
     res = cfg.grid_resolution
     enumerated = []  # (voter row, cols, value table), voter-then-bundle order
     delegated = []  # (delegate row, bundle) of each enumerated slice
+    tables = {}  # (units, k) -> value table, shared by equal slices
     for row, (voter, bundles) in enumerate(zip(instance.voters, instance.delegations)):
         for position, bundle in enumerate(bundles):
             if bundle.notion is Notion.DIRECT:
@@ -362,8 +379,9 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
                     f"is not a multiple of the grid resolution {res!r}"
                 )
             cols = [instance.candidate_index[c] for c in bundle.members]
-            values = _compositions(int(round(units)), len(cols)).astype(float) * res
-            enumerated.append((row, cols, values))
+            if (key := (int(round(units)), len(cols))) not in tables:
+                tables[key] = _compositions(*key).astype(float) * res
+            enumerated.append((row, cols, tables[key]))
             delegated.append((instance.voter_index[bundle.delegate], bundle))
     base = initial_point(instance)  # DIRECT cells; the scan overwrites the rest
 
@@ -374,17 +392,14 @@ def grid_oracle(instance, cfg=SolverConfig(tolerance=0.01)) -> GridSearchResult:
         found = np.nonzero(residuals <= cfg.tolerance)[0]
         hits.extend(zip(_matrices(base, enumerated, start + found), residuals[found].tolist()))
 
-        chunk_argmin = int(residuals.argmin())
-        chunk_min = residuals[chunk_argmin]
-        if chunk_min < best_residual:
-            best_residual = float(chunk_min)
-            best = _matrices(base, enumerated, [start + chunk_argmin])[0]
-            ties = np.nonzero(residuals == chunk_min)[0]
-        else:
-            ties = np.nonzero(residuals == best_residual)[0]
-        for x in _matrices(base, enumerated, start + ties):
-            if _lex_smaller(x, best):
-                best = x.copy()
+        chunk_min = residuals.min()
+        if chunk_min > best_residual:
+            continue
+        ties = _matrices(base, enumerated, start + np.nonzero(residuals == chunk_min)[0])
+        if chunk_min == best_residual:
+            ties = np.concatenate((best[None], ties))
+        best = ties[np.lexsort(ties.reshape(len(ties), -1).T[::-1])[0]].copy()
+        best_residual = float(chunk_min)
 
     points = math.prod(len(values) for *_, values in enumerated)
     return GridSearchResult(tuple(hits), best, float(best_residual), points)

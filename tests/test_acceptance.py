@@ -27,7 +27,6 @@ from liquidballots import (
     grid_oracle,
     initial_point,
     is_feasible,
-    load_finding,
     random_feasible_point,
     random_wcc_instance,
     regret,
@@ -80,6 +79,10 @@ def test_criterion_03_ept_nonexistence():
     assert result.hits == ()
     assert result.best_residual > 0.01
     assert 0.029 < result.best_residual < 0.031  # frozen: the grid minimum is 0.03
+    assert result.best_residual == 0.03
+    # the lexicographically smallest of the 6 points at the minimum, in a scan of 69 chunks
+    best = np.array([[0.47000000000000003, 0.03, 0.28, 0.22], [0.01, 0.0, 0.5, 0.49]])
+    assert result.best.tobytes() == best.tobytes()
     report = simple_iteration(
         EPT_TABLE,
         initial_point(EPT_TABLE),

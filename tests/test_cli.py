@@ -18,7 +18,6 @@ from liquidballots import (
     initial_point,
     load_finding,
     parse_solution,
-    serialize_instance,
     serialize_solution,
 )
 from liquidballots.cli import run_cli

@@ -486,6 +486,15 @@ def test_descent_stops_when_the_step_underflows(monkeypatch):
 REFERENCE_CHUNK = 100_000
 
 
+def _lex_smaller(a, b) -> bool:
+    """True iff flattened ``a`` precedes flattened ``b`` lexicographically."""
+    af, bf = a.ravel(), b.ravel()
+    idx = np.nonzero(af != bf)[0]
+    if len(idx) == 0:
+        return False
+    return af[idx[0]] < bf[idx[0]]
+
+
 def reference_grid_oracle(instance, cfg):
     """The grid scan before it factorised: every grid point is built and
     evaluated, in chunks of ``REFERENCE_CHUNK`` matrices."""
@@ -546,7 +555,7 @@ def reference_grid_oracle(instance, cfg):
         else:
             ties = np.nonzero(residuals == best_residual)[0]
         for i in ties:
-            if solvers._lex_smaller(xs[i], best):
+            if _lex_smaller(xs[i], best):
                 best = xs[i].copy()
 
     return GridSearchResult(tuple(hits), best, float(best_residual), total)
@@ -667,6 +676,23 @@ def one_member_slice():
     )
 
 
+def crossed_pair_and_triple():
+    """v delegates {c1, c2} (EP-T) and {c3, c4} (EP-TI) to u, and u
+    delegates {c1, c2, c3} (WCC) back to v.  At resolution 0.25 with 44
+    matrices per chunk the scan fixes v's first digit: u's slice spans the
+    chunk, v's first slice reads the leading digit but not v's second, and
+    v's second reads no leading digit."""
+    v = (
+        Bundle(("c1", "c2"), 0.5, "u", Notion.EP_T, 2.0, (0.5, 0.0)),
+        Bundle(("c3", "c4"), 0.5, "u", Notion.EP_TI, 2.0, (0.0, 0.5)),
+    )
+    u = (
+        Bundle(("c1", "c2", "c3"), 0.75, "v", Notion.WCC, 2.0, (0.25, 0.25, 0.25)),
+        Bundle(("c4",), 0.25, "u", Notion.DIRECT),
+    )
+    return ElectionInstance(("c1", "c2", "c3", "c4"), ("v", "u"), (v, u))
+
+
 def symmetric_triples():
     """v and u delegate {c1, c2, c3} to each other under EP: a slice and
     its delegate scope together span the whole grid."""
@@ -754,7 +780,10 @@ def test_grid_scan_does_not_depend_on_where_chunks_end(monkeypatch, chunk):
     # the wide bundles' tables hold one point each (their delegate votes
     # directly) and symmetric_ep_pair's three, so at chunk size 2 they
     # end in a chunk of one matrix; at chunk size 2 every digit of
-    # one_member_slice's scan is a leading one
+    # one_member_slice's scan is a leading one.  Every chunk of
+    # zero_support's scan ties at residual 0, fan_in's EP slices have NaN
+    # cells, and at chunk size 44 crossed_pair_and_triple's three slices
+    # fold below the chunk shape, at it and once per scan.
     stacks = counted_stacks(monkeypatch)
     monkeypatch.setattr(solvers, "_GRID_CHUNK", chunk)
     for instance, resolution in (
@@ -762,6 +791,9 @@ def test_grid_scan_does_not_depend_on_where_chunks_end(monkeypatch, chunk):
         (wide_bundle(8, pair=True), 0.5),
         (symmetric_ep_pair(), 0.5),
         (one_member_slice(), 0.25),
+        (zero_support(), 0.25),
+        (fan_in(Notion.EP, Notion.EP), 0.25),
+        (crossed_pair_and_triple(), 0.25),
     ):
         cfg = SolverConfig(tolerance=1.0, grid_resolution=resolution)
         assert_same_scan(grid_oracle(instance, cfg), reference_grid_oracle(instance, cfg))
