@@ -236,20 +236,20 @@ def _matrices(base, slices, flat) -> np.ndarray:
     return xs
 
 
-def _fold(cells, digits, into=None, buffer=None):
-    """Fold ``|f - x|`` of ``cells`` at the leading ``digits`` into ``into``, in place.
+def _fold(cells, digits, folded, distances):
+    """Write the max of ``|f - x|`` over ``cells`` at the leading ``digits`` to ``folded``.
 
-    Without ``into``, folds into the first cell's distances; ``buffer``
-    holds each distance if given.  ``np.fmax`` skips NaN cells.
+    ``distances`` holds each later cell's; ``np.fmax`` skips NaN cells.
     """
-    for cell in cells:
+    for i, cell in enumerate(cells):
         responses, values = (
             t[tuple(d if t.shape[a] > 1 else 0 for a, d in enumerate(digits))] for t in cell
         )
-        diff = np.subtract(responses, values, out=buffer)
+        diff = np.subtract(responses, values, out=distances if i else folded)
         np.abs(diff, out=diff)
-        into = diff if into is None else np.fmax(into, diff, out=into)
-    return into
+        if i:
+            np.fmax(folded, diff, out=folded)
+    return folded
 
 
 def _residuals(instance, base, enumerated, delegated):
@@ -265,8 +265,8 @@ def _residuals(instance, base, enumerated, delegated):
     its slice's digit.  A chunk fixes the leading digits and broadcasts
     over the trailing ones.  A slice's cells fold at the shape of its own
     and its scope's digits (once per scan if it reads no leading digit),
-    then into the chunk with one ``np.fmax``, or straight into a chunk
-    they span.  The next chunk overwrites each yielded ``residuals``.
+    in buffers that every slice and chunk reuse, then into the chunk with
+    one ``np.fmax``.  The next chunk overwrites each yielded ``residuals``.
     """
     radices = [len(values) for *_, values in enumerated]
     scopes = {}  # delegate scope -> member slices
@@ -283,10 +283,10 @@ def _residuals(instance, base, enumerated, delegated):
     trail = tuple(radices[lead:])
     inner = math.prod(trail)
     outer = math.prod(radices[:lead])
-    per_chunk = _GRID_CHUNK // inner
-    spans = {a for a in range(lead, len(radices)) if radices[a] > 1}
+    per_chunk = min(_GRID_CHUNK // inner, outer)
+    scratch = np.empty(2 * per_chunk * inner)  # fold buffers of every slice and chunk
     fixed = np.zeros(())  # slices that read no leading digit, folded once
-    chunked = []  # (cells, spans the chunk) of the other slices
+    chunked = []  # (cells, fold buffers) of the other slices
     for scope, members in scopes.items():
         slices = [enumerated[s] for s in scope]
         size = math.prod(radices[s] for s in scope)
@@ -308,11 +308,14 @@ def _residuals(instance, base, enumerated, delegated):
             own = [r if a == p else 1 for a, r in enumerate(radices)]
             cells = list(zip(table.T.reshape([-1] + shape), enumerated[p][2].T.reshape([-1] + own)))
             reads = {a for a in scope + (p,) if radices[a] > 1}
+            folded = tuple(radices[a] if a in reads else 1 for a in range(lead, len(radices)))
             if reads.isdisjoint(range(lead)):  # its leading axes have length 1
-                fixed = np.fmax(fixed, _fold(cells, ())[(0,) * lead])
+                buffers = scratch[: 2 * math.prod(folded)].reshape((2, 1) + folded)
+                fixed = np.fmax(fixed, _fold(cells, (0,) * lead, *buffers))
             else:
-                chunked.append((cells, spans <= reads))
-    buffers = np.empty((2, min(per_chunk, outer)) + trail)  # reused by every chunk
+                lanes = (2, per_chunk) + folded
+                chunked.append((cells, scratch[: math.prod(lanes)].reshape(lanes)))
+    buffer = np.empty((per_chunk,) + trail)  # reused by every chunk
     for first in range(0, outer, per_chunk):
         stop = min(first + per_chunk, outer)
         rest = np.arange(first, stop)
@@ -320,13 +323,10 @@ def _residuals(instance, base, enumerated, delegated):
         for radix in reversed(radices[:lead]):
             rest, digit = np.divmod(rest, radix)
             digits.insert(0, digit)
-        residuals, distances = buffers[:, : stop - first]
+        residuals = buffer[: stop - first]
         np.copyto(residuals, fixed)
-        for cells, whole in chunked:
-            if whole:
-                _fold(cells, digits, residuals, distances)
-            else:
-                np.fmax(residuals, _fold(cells, digits), out=residuals)
+        for cells, buffers in chunked:
+            np.fmax(residuals, _fold(cells, digits, *buffers[:, : stop - first]), out=residuals)
         yield first * inner, residuals.reshape(-1)
 
 

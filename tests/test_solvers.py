@@ -601,16 +601,16 @@ def fan_in(first, second):
     )
 
 
-def zero_support():
-    """v delegates {c1, c2} to u under EP, and u votes all of its budget on
-    c3 directly: v's delegate never supports the bundle, so v keeps
-    whatever split it holds and every grid point is a fixed point."""
+def zero_support(bundle=("c1", "c2")):
+    """v delegates ``bundle`` ({c1, c2}) to u under EP, and u votes all of
+    its budget on c3 directly: v's delegate never supports the bundle, so
+    v keeps whatever split it holds and every grid point is a fixed point."""
     members = ("c1", "c2", "c3")
     return ElectionInstance(
         members,
         ("v", "u"),
         (
-            (Bundle(members[:2], 1.0, "u", Notion.EP), Bundle(members[2:], 0.0, "v", Notion.DIRECT)),
+            (Bundle(bundle, 1.0, "u", Notion.EP), Bundle(members[2:], 0.0, "v", Notion.DIRECT)),
             tuple(Bundle((c,), b, "u", Notion.DIRECT) for c, b in zip(members, (0.0, 0.0, 1.0))),
         ),
     )
@@ -781,9 +781,11 @@ def test_grid_scan_does_not_depend_on_where_chunks_end(monkeypatch, chunk):
     # directly) and symmetric_ep_pair's three, so at chunk size 2 they
     # end in a chunk of one matrix; at chunk size 2 every digit of
     # one_member_slice's scan is a leading one.  Every chunk of
-    # zero_support's scan ties at residual 0, fan_in's EP slices have NaN
-    # cells, and at chunk size 44 crossed_pair_and_triple's three slices
-    # fold below the chunk shape, at it and once per scan.
+    # zero_support's scan ties at residual 0; with its bundle reversed the
+    # scan runs in increasing lexicographic order, so the smallest tie is
+    # the first point and every later chunk ties with it.  fan_in's EP
+    # slices have NaN cells, and at chunk size 44 crossed_pair_and_triple's
+    # three slices fold below the chunk shape, at it and once per scan.
     stacks = counted_stacks(monkeypatch)
     monkeypatch.setattr(solvers, "_GRID_CHUNK", chunk)
     for instance, resolution in (
@@ -792,6 +794,7 @@ def test_grid_scan_does_not_depend_on_where_chunks_end(monkeypatch, chunk):
         (symmetric_ep_pair(), 0.5),
         (one_member_slice(), 0.25),
         (zero_support(), 0.25),
+        (zero_support(("c2", "c1")), 0.25),
         (fan_in(Notion.EP, Notion.EP), 0.25),
         (crossed_pair_and_triple(), 0.25),
     ):
