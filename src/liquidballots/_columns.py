@@ -1,23 +1,27 @@
-"""Bundles as columns: those of an instance document, and the kernels' view.
+"""Bundles as columns, and the size records compiled from them.
 
-``io.instance_from_doc`` collects a document's bundles into a
-``BundleColumns`` record, and the instance it returns carries the
-record: ``validate_instance`` checks it column by column, the grouped
-plan is cut from it, and the ``Bundle`` view is built from it on first
-use.  ``size_view`` regroups any instance's plan by bundle size into the
-columns that ``response``, ``model`` and ``solvers`` read.  ``io``
-imports this module on its first parse and ``ElectionInstance._by_size``
-on its first use, so importing the package does not compile it.
+Every instance's bundles exist as a ``BundleColumns`` record, its
+``ElectionInstance._columns``: ``io.instance_from_doc`` collects a
+document's, and ``BundleColumns.of`` fills one from the ``Bundle``
+objects of an instance built in code.  ``validate_instance`` checks the
+record column by column, and the ``Bundle`` view of a parsed instance is
+built from it on first use.  ``compile_plan`` turns it into the size
+records that ``response``, ``model``, ``solvers`` and ``counterexamples``
+read (``ElectionInstance._plan``), the one compiled form of an instance.
+``io`` imports this module on its first parse and ``ElectionInstance``
+on first use of either property, so importing the package does not
+compile it.
 """
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import WEIGHTED_NOTIONS, Bundle, Notion, _BundleGroup, _exact_sum
+from .model import WEIGHTED_NOTIONS, Bundle, Notion, _exact_sum
 
 #: Notions by code: ``BundleColumns.notion`` holds positions in this tuple.
 NOTIONS = tuple(Notion)
@@ -27,7 +31,7 @@ WEIGHTED = [NOTIONS.index(notion) for notion in WEIGHTED_NOTIONS]
 
 
 class BundleColumns(NamedTuple):
-    """The bundles of an instance read from a document, one array per field.
+    """The bundles of an instance, one array per field.
 
     Entry ``b`` of each per-bundle array describes the ``b``-th bundle in
     voter-then-bundle order: ``voter`` is its voter's row, ``delegate``
@@ -53,6 +57,35 @@ class BundleColumns(NamedTuple):
     default: np.ndarray
     members: list[str]
     delegates: list[str]
+
+    @classmethod
+    def of(cls, instance) -> BundleColumns:
+        """The columns of ``instance.delegations``, filled in one pass over the bundles.
+
+        A name outside the election gets -1, as in a parsed document.
+        """
+        candidate_index, voter_index = instance.candidate_index, instance.voter_index
+        ints, floats, members, delegates, default = [], [], [], [], []
+        for vi, bundles in enumerate(instance.delegations):
+            for bundle in bundles:
+                weighted, defaulted = bundle.weight is not None, bundle.default is not None
+                ints += (
+                    vi, voter_index.get(bundle.delegate, -1), NOTION_CODES[bundle.notion.value],
+                    len(bundle.members), weighted, len(bundle.default) if defaulted else -1,
+                )
+                floats += (bundle.budget, bundle.weight if weighted else math.nan)
+                members += bundle.members
+                delegates.append(bundle.delegate)
+                if defaulted:
+                    default += bundle.default
+        ints = np.array(ints, dtype=int).reshape(-1, 6).T.copy()  # one contiguous column per field
+        budget, weight = np.array(floats, dtype=float).reshape(-1, 2).T.copy()
+        voter, delegate, notion, size, has_weight, default_size = ints
+        return cls(
+            voter, delegate, notion, size, budget, weight, has_weight.astype(bool), default_size,
+            np.array([candidate_index.get(c, -1) for c in members], dtype=int),
+            np.array(default, dtype=float), members, delegates,
+        )
 
     def bundles(self, n) -> tuple[tuple[Bundle, ...], ...]:
         """The bundles of each of the ``n`` voters, as ``Bundle`` objects.
@@ -87,54 +120,6 @@ class BundleColumns(NamedTuple):
             default_at += max(dk, 0)
         ends = np.cumsum(np.bincount(self.voter, minlength=n)).tolist()
         return tuple(tuple(flat[lo:hi]) for lo, hi in zip([0, *ends], ends))
-
-    def plan(self) -> tuple[_BundleGroup, ...] | None:
-        """``ElectionInstance._plan``, built from the columns.
-
-        ``None`` where compiling the ``Bundle`` view would fail or misalign
-        rows: an empty bundle, a name outside the election, a zero weight,
-        or a default whose length is not the bundle's.
-        """
-        k = self.size
-        has_default = self.default_size >= 0
-        if (
-            np.any(k == 0)
-            or np.any(self.delegate < 0)
-            or np.any(self.cols < 0)
-            or np.any(self.weight == 0.0)  # NaN where absent
-            or np.any(self.default_size[has_default] != k[has_default])
-        ):
-            return None
-        if not len(k):
-            return ()
-        starts = np.cumsum(k) - k
-        default = np.repeat(self.budget / k, k)  # the even split, where there is no default
-        default[np.repeat(has_default, k)] = self.default
-        with np.errstate(over="ignore"):  # 1.0 / w is inf for a subnormal w, as in Python
-            threshold = 1.0 / self.weight
-        key = self.notion * (k.max() + 1) + k  # one per (notion, k)
-        order = np.argsort(key, kind="stable")
-        groups = []
-        # rows ascend within a group; groups come in order of first
-        # appearance, as _plan compiles them
-        for rows in sorted(
-            np.split(order, np.flatnonzero(np.diff(key[order])) + 1), key=lambda rows: rows[0]
-        ):
-            cells = starts[rows, None] + np.arange(k[rows[0]])
-            groups.append(
-                _BundleGroup(
-                    notion=NOTIONS[self.notion[rows[0]]],
-                    index=rows,
-                    voter=self.voter[rows, None],
-                    delegate=self.delegate[rows, None],
-                    cols=self.cols[cells],
-                    budget=self.budget[rows, None],
-                    weight=self.weight[rows, None],
-                    threshold=threshold[rows, None],
-                    default=default[cells],
-                )
-            )
-        return tuple(groups)
 
     def valid(self, n, m, tol) -> bool:
         """True iff ``validate_instance``'s walk would find no violation.
@@ -186,17 +171,32 @@ class BundleColumns(NamedTuple):
         return True
 
 
-#: Rows of a size record, in order: kinds of bundle by notion.
-_KINDS = {Notion.EP: 0, Notion.EP_T: 1, Notion.WCC: 2, Notion.EP_TI: 3, Notion.DIRECT: 4}
+#: Kind of bundle by notion code: the order of a size record's rows.
+_KIND = np.array([
+    {Notion.EP: 0, Notion.EP_T: 1, Notion.WCC: 2, Notion.EP_TI: 3, Notion.DIRECT: 4}[notion]
+    for notion in NOTIONS
+])
 
 
-def size_view(plan, m) -> tuple[SimpleNamespace, ...]:
-    """The bundles of ``plan`` regrouped by size ``k`` alone, one record per size.
+class Plan(tuple):
+    """The size records, one per bundle size, smallest first.
 
-    The one place that turns notions into numbers, from the plan and never
-    from ``delegations``.  A delegate's slice ``y``, with support ``nu =
-    sum(y)``, has the pre-image ``z = c*y + (p + q*nu)*d``, ``d`` the
-    default, with coefficients that may switch at the threshold ``1/w``:
+    ``scatter`` holds the delegate's cell of every delegated bundle's
+    members in plan order, each record's ``rank`` the positions of its
+    rows in it: ``_residual_gradient`` sums each cell's contributions in
+    that order.
+    """
+
+    scatter: np.ndarray
+
+
+def compile_plan(columns, m) -> Plan | None:
+    """The size records of the bundles in ``columns``, ``None`` where they cannot be compiled.
+
+    The one place that turns notions into numbers.  A delegate's slice
+    ``y``, with support ``nu = sum(y)``, has the pre-image ``z = c*y +
+    (p + q*nu)*d``, ``d`` the default, with coefficients that may switch
+    at the threshold ``1/w``:
 
     ======  ===  ==========  ==========  ================================
     notion  c    p, q below  p, q above  rows
@@ -209,56 +209,74 @@ def size_view(plan, m) -> tuple[SimpleNamespace, ...]:
     DIRECT                               ``fixed`` at ``d``, the budget
     ======  ===  ==========  ==========  ================================
 
-    Rows come in the table's order, each kind's bundles in plan order.
+    Rows come in the table's order, each kind's bundles in bundle order.
     Every record has, for all its rows, ``own`` ``(B, k)`` (the flat
     indices ``voter * m + col`` of each bundle's slice in a raveled
     C-order matrix), ``budget`` ``(B, 1)`` and ``default`` ``(B, k)``
     (the even split where a bundle has none).  For the live rows, all
     but ``fixed``: ``live``, ``delegate`` and ``rank`` ``(L, k)`` (the
     cells of the own and of the delegate's slice, and each cell's
-    position when the plan's delegated groups are walked in order) and
-    ``scale`` ``(L, 1)``, their budgets.  Each kind is ``None`` or a
-    record of its rows: ``rows``, their slice of the live rows, except
-    for ``fixed``; ``own`` (``keep``, ``fixed``); ``default`` (``hard``,
-    ``blend``, ``fixed``); ``threshold`` (``hard``, ``blend``); ``c`` and
-    ``offset = p*d`` (``shift``); ``p`` and ``q`` below (``blend``).
+    position in plan order: bundles grouped by (notion, size), groups in
+    order of first appearance, bundle order inside each) and ``scale``
+    ``(L, 1)``, their budgets.  Each kind is ``None`` or a record of its
+    rows: ``rows``, their slice of the live rows, except for ``fixed``;
+    ``own`` (``keep``, ``fixed``); ``default`` (``hard``, ``blend``,
+    ``fixed``); ``threshold`` (``hard``, ``blend``); ``c`` and ``offset =
+    p*d`` (``shift``); ``p`` and ``q`` below (``blend``).
+
+    ``None`` where a bundle would index the wrong cells or divide by
+    zero: an empty bundle, a name outside the election, a zero weight, or
+    a default whose length is not the bundle's.
     """
-    by_size: dict[int, list[tuple]] = {}
-    rank = 0
-    for g in plan:
-        b, k = g.cols.shape
-        one, zero = np.ones((b, 1)), np.zeros((b, 1))
-        c, p, q, default = one, zero, zero, g.default
-        if g.notion is Notion.WCC:
-            c, p = g.weight, one
-        elif g.notion is Notion.EP_TI:
-            p, q = g.threshold, -one
-        elif g.notion is Notion.DIRECT:
-            default = np.broadcast_to(g.budget, (b, k))
-        by_size.setdefault(k, []).append((
-            _KINDS[g.notion], g.voter * m + g.cols, g.budget, default, g.delegate * m + g.cols,
-            rank + np.arange(b * k).reshape(b, k), g.threshold, c, p, q,
-        ))
-        rank += 0 if g.notion is Notion.DIRECT else b * k
+    k, budget, has_default = columns.size, columns.budget, columns.default_size >= 0
+    if (
+        np.any(k == 0)
+        or np.any(columns.delegate < 0)
+        or np.any(columns.cols < 0)
+        or np.any(columns.weight == 0.0)  # NaN where absent
+        or np.any(columns.default_size[has_default] != k[has_default])
+    ):
+        return None
+    kind = _KIND[columns.notion]
+    live = kind < 4  # all but DIRECT
+    first = np.cumsum(k) - k  # each bundle's first member
+    own = np.repeat(columns.voter, k) * m + columns.cols
+    delegate = np.repeat(columns.delegate, k) * m + columns.cols
+    default = np.repeat(budget / k, k)  # the even split, where there is no default
+    default[np.repeat(has_default, k)] = columns.default
+    default[np.repeat(~live, k)] = np.repeat(budget[~live], k[~live])  # DIRECT is fixed at its budget
+    with np.errstate(over="ignore"):  # 1.0 / w is inf for a subnormal w, as in Python
+        threshold = 1.0 / columns.weight
+    # plan order: the delegated bundles by the first bundle of their (notion, size) group
+    key = columns.notion * (k.max(initial=0) + 1) + k
+    _, head, group = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(head[group.ravel()], kind="stable")
+    order = order[live[order]]
+    lengths = k[order]
+    # every delegated bundle's members, in plan order
+    in_plan = np.repeat(first[order] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    rank = np.zeros(len(own), dtype=int)
+    rank[in_plan] = np.arange(len(in_plan))
+
     sizes = []
-    for rows in by_size.values():
-        rows.sort(key=lambda row: row[0])  # stable: plan order within a kind
-        kinds, *columns = zip(*rows)
-        own, budget, default, delegate, ranks, threshold, c, p, q = map(np.concatenate, columns)
-        starts = np.searchsorted(np.repeat(kinds, [len(cells) for cells in columns[0]]), range(5)).tolist()
-        keep, hard, shift, blend, fixed = (
-            slice(a, b) if b > a else None for a, b in zip(starts, [*starts[1:], len(own)])
-        )
-        live = starts[4]
+    for size in sorted(set(k.tolist())):
+        rows = np.flatnonzero(k == size)
+        rows = rows[np.argsort(kind[rows], kind="stable")]
+        cells = first[rows, None] + np.arange(size)
+        at = np.searchsorted(kind[rows], range(6)).tolist()
+        keep, hard, shift, blend, fixed = (slice(a, b) if b > a else None for a, b in zip(at, at[1:]))
+        o, b, d, t = own[cells], budget[rows, None], default[cells], threshold[rows, None]
         sizes.append(SimpleNamespace(
-            own=own, budget=budget, default=default,
-            live=own[:live], delegate=delegate[:live], rank=ranks[:live], scale=budget[:live],
-            keep=keep and SimpleNamespace(rows=keep, own=own[keep]),
-            hard=hard and SimpleNamespace(rows=hard, default=default[hard], threshold=threshold[hard]),
-            shift=shift and SimpleNamespace(rows=shift, c=c[shift], offset=p[shift] * default[shift]),
+            own=o, budget=b, default=d,
+            live=o[:at[4]], delegate=delegate[cells[:at[4]]], rank=rank[cells[:at[4]]], scale=b[:at[4]],
+            keep=keep and SimpleNamespace(rows=keep, own=o[keep]),
+            hard=hard and SimpleNamespace(rows=hard, default=d[hard], threshold=t[hard]),
+            shift=shift and SimpleNamespace(rows=shift, c=columns.weight[rows[shift], None], offset=d[shift]),
             blend=blend and SimpleNamespace(
-                rows=blend, default=default[blend], threshold=threshold[blend], p=p[blend], q=q[blend],
+                rows=blend, default=d[blend], threshold=t[blend], p=t[blend], q=-np.ones_like(t[blend]),
             ),
-            fixed=fixed and SimpleNamespace(own=own[fixed], default=default[fixed]),
+            fixed=fixed and SimpleNamespace(own=o[fixed], default=d[fixed]),
         ))
-    return tuple(sizes)
+    plan = Plan(sizes)
+    plan.scatter = delegate[in_plan]
+    return plan

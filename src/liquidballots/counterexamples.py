@@ -169,18 +169,15 @@ def random_wcc_instance(rng, n, m, weight=10.0, default_mode="even-split"):
 
 
 def _gamma_layout(instance):
-    """Gamma columns per bundle in plan order, as offsets.
+    """Gamma columns per bundle in bundle order, as offsets.
 
     ``offsets[i]`` is the first gamma column of bundle ``i`` and
     ``offsets[-1]`` the width of one matrix's draw: a bundle of ``k >= 2``
     members and positive budget takes ``k`` columns, any other none.
     """
-    plan = instance._plan
-    widths = np.zeros(sum(len(g.index) for g in plan) + 1, dtype=int)
-    for g in plan:
-        if g.cols.shape[1] > 1:
-            widths[g.index + 1] = g.cols.shape[1] * (g.budget[:, 0] > 0.0)
-    return np.cumsum(widths)
+    instance._plan  # refuses an instance whose bundles cannot be compiled
+    k, budget = instance._columns.size, instance._columns.budget
+    return np.concatenate(([0], np.cumsum(k * ((k > 1) & (budget > 0.0)))))
 
 
 def _fill_feasible(instance, offsets, gammas):
@@ -188,21 +185,24 @@ def _fill_feasible(instance, offsets, gammas):
 
     Each bundle's gammas are normalised as ``Generator.dirichlet`` does:
     summed left to right, scaled by the reciprocal of the sum, then by
-    the budget.  Rows are independent, so filling a block equals filling
-    its rows one at a time, bit for bit.
+    the budget.  Bundles without a positive budget keep ``+0.0``.  Rows
+    are independent, so filling a block equals filling its rows one at a
+    time, bit for bit.
     """
-    x = np.zeros((len(gammas), instance.n, instance.m))
-    for g in instance._plan:
-        k = g.cols.shape[1]
-        on = g.budget[:, 0] > 0.0
-        voter, cols, budget = g.voter[on], g.cols[on], g.budget[on]
-        if k == 1:
-            x[:, voter, cols] = budget
+    columns = instance._columns
+    k, budget = columns.size, columns.budget
+    first = np.cumsum(k) - k  # each bundle's first member
+    x = np.zeros((len(gammas), instance.n * instance.m))
+    for size in sorted(set(k.tolist())):
+        rows = np.flatnonzero((k == size) & (budget > 0.0))
+        cells = columns.voter[rows, None] * instance.m + columns.cols[first[rows, None] + np.arange(size)]
+        if size == 1:
+            x[:, cells] = budget[rows, None]
             continue
-        drawn = gammas[:, offsets[g.index[on], None] + np.arange(k)]
+        drawn = gammas[:, offsets[rows, None] + np.arange(size)]
         acc = np.cumsum(drawn, axis=-1)[..., -1:]  # left to right, as dirichlet sums
-        x[:, voter, cols] = budget * (drawn * (1.0 / acc))
-    return x
+        x[:, cells] = budget[rows, None] * (drawn * (1.0 / acc))
+    return x.reshape(len(gammas), instance.n, instance.m)
 
 
 def random_feasible_point(rng, instance, size=None):
@@ -211,10 +211,11 @@ def random_feasible_point(rng, instance, size=None):
     ``size=None`` returns one ``(n, m)`` matrix, ``size=N`` a stack of
     ``N`` of them, ``(N, n, m)``.  All draws come from one
     ``rng.standard_gamma(1.0, ...)`` call, matrix by matrix and bundle by
-    bundle in plan order, normalised as ``Generator.dirichlet`` does.
-    The result and the generator's state afterwards equal those of one
-    ``rng.dirichlet(np.ones(k))`` call per bundle of ``k >= 2`` members
-    and positive budget, repeated ``N`` times.
+    bundle in voter-then-bundle order, normalised as
+    ``Generator.dirichlet`` does.  The result and the generator's state
+    afterwards equal those of one ``rng.dirichlet(np.ones(k))`` call per
+    bundle of ``k >= 2`` members and positive budget, repeated ``N``
+    times.
     """
     count = 1 if size is None else size
     offsets = _gamma_layout(instance)

@@ -188,9 +188,9 @@ def instance_from_doc(doc) -> ElectionInstance:
 
     One pass over the voter records checks every field; the bundles then
     become columns, their numbers are converted a column at a time, and
-    the instance carries the grouped plan built from the columns (see
-    ``_columns.BundleColumns``), with no ``Bundle`` objects.  An error
-    names the first bad field in document order.
+    the instance carries the columns (a ``_columns.BundleColumns``), with
+    no ``Bundle`` objects; its size records are compiled from them on
+    first use.  An error names the first bad field in document order.
     """
     from ._columns import NOTION_CODES, BundleColumns  # compiled on the first parse only
 

@@ -110,31 +110,6 @@ class Bundle:
         return 1.0 / self.weight
 
 
-@dataclass(frozen=True, eq=False)
-class _BundleGroup:
-    """All bundles of one notion and one size ``k``, stacked for the kernels.
-
-    Row ``i`` of every array describes one bundle: ``index`` ``(B,)`` is
-    its position in voter-then-bundle order, ``voter`` and ``delegate``
-    are ``(B, 1)`` row indices, ``cols`` is the ``(B, k)`` column table,
-    ``budget``, ``weight`` and ``threshold`` are ``(B, 1)`` (NaN weight
-    and threshold for unweighted notions).  ``default`` is ``(B, k)`` and
-    holds the even split of the budget for bundles without a default
-    vector.  Rows follow ``index``.  Indexing a matrix with
-    ``[voter, cols]`` gathers every bundle's own slice at once.
-    """
-
-    notion: Notion
-    index: np.ndarray
-    voter: np.ndarray
-    delegate: np.ndarray
-    cols: np.ndarray
-    budget: np.ndarray
-    weight: np.ndarray
-    threshold: np.ndarray
-    default: np.ndarray
-
-
 @dataclass(frozen=True)
 class ElectionInstance:
     """An election with per-voter fine-grained cumulative delegations.
@@ -143,9 +118,12 @@ class ElectionInstance:
     voter order is authoritative: all solution matrices use it for their
     column and row indices.
 
-    An instance read from a document (``io.instance_from_doc``) carries
-    its bundles as columns and its grouped plan as built from them; its
-    ``delegations`` are made on first use.
+    Every instance also holds its bundles as columns, ``_columns``, and
+    compiles them once into ``_plan``, the size records that every kernel
+    reads (see ``_columns``).  An instance built in code fills its
+    columns from ``delegations`` on first use; one read from a document
+    (``io.instance_from_doc``) carries the columns it was read from, and
+    makes its ``delegations`` from them on first use.
     """
 
     candidates: tuple[str, ...]
@@ -167,9 +145,6 @@ class ElectionInstance:
         instance = object.__new__(cls)
         fields = instance.__dict__
         fields.update(candidates=tuple(candidates), voters=tuple(voters), _columns=columns)
-        plan = columns.plan()
-        if plan is not None:
-            fields["_plan"] = plan
         return instance
 
     def __getattr__(self, name):
@@ -204,55 +179,27 @@ class ElectionInstance:
         return self.delegations[self.voter_index[voter]]
 
     @cached_property
-    def _plan(self) -> tuple[_BundleGroup, ...]:
-        """Every bundle, index-resolved and grouped by (notion, bundle size).
+    def _columns(self):
+        """The bundles as columns, filled from ``delegations``: ``_columns.BundleColumns.of``."""
+        from ._columns import BundleColumns  # compiled on first use, like the parse
 
-        DIRECT singletons form groups of their own, so their
-        ``(voter, cols, budget)`` arrays are the constant scatter of the
-        fixed cells.
-        """
-        # per (notion, k): flat ints, floats, columns and defaults
-        fields: dict[tuple[Notion, int], tuple[list, list, list, list]] = {}
-        voter_index, candidate_index = self.voter_index, self.candidate_index
-        index = 0
-        for vi, bundles in enumerate(self.delegations):
-            for bundle in bundles:
-                k = len(bundle.members)
-                ints, floats, cols, defaults = fields.setdefault(
-                    (bundle.notion, k), ([], [], [], [])
-                )
-                weight = math.nan if bundle.weight is None else bundle.weight
-                ints += (index, vi, voter_index[bundle.delegate])
-                floats += (bundle.budget, weight, 1.0 / weight)
-                cols += [candidate_index[c] for c in bundle.members]
-                defaults += bundle.default if bundle.default is not None else [bundle.budget / k] * k
-                index += 1
-        groups = []
-        for (notion, k), (ints, floats, cols, defaults) in fields.items():
-            # one contiguous column per field
-            order, voter, delegate = np.array(ints).reshape(-1, 3).T.copy()
-            budget, weight, threshold = np.array(floats).reshape(-1, 3).T.copy()[:, :, None]
-            groups.append(
-                _BundleGroup(
-                    notion=notion,
-                    index=order,
-                    voter=voter[:, None],
-                    delegate=delegate[:, None],
-                    cols=np.array(cols, dtype=int).reshape(-1, k),
-                    budget=budget,
-                    weight=weight,
-                    threshold=threshold,
-                    default=np.array(defaults, dtype=float).reshape(-1, k),
-                )
-            )
-        return tuple(groups)
+        return BundleColumns.of(self)
 
     @cached_property
-    def _by_size(self) -> tuple:
-        """The plan regrouped by bundle size for the kernels: ``_columns.size_view``."""
-        from ._columns import size_view  # compiled on first use, like the parse
+    def _plan(self):
+        """The size records every kernel reads: ``_columns.compile_plan``.
 
-        return size_view(self._plan, self.m)
+        Raises ``InvalidInstanceError``, with the report of
+        ``validate_instance``, where the bundles cannot be compiled: an
+        empty bundle, a name outside the election, a zero weight or a
+        default whose length is not the bundle's.
+        """
+        from ._columns import compile_plan
+
+        plan = compile_plan(self._columns, self.m)
+        if plan is None:
+            raise InvalidInstanceError(validate_instance(self))
+        return plan
 
     @cached_property
     def free_dimensions(self) -> int:
@@ -261,7 +208,7 @@ class ElectionInstance:
         Each bundle of size k contributes k - 1 (its slice lives on a
         scaled simplex); DIRECT singletons contribute 0.
         """
-        return sum(len(b.members) - 1 for bundles in self.delegations for b in bundles)
+        return int((self._columns.size - 1).sum())
 
 
 @dataclass(frozen=True)
@@ -321,10 +268,9 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
     weight and a non-negative default of l1-norm equal to the budget.
     A weight or default on any other bundle obeys the same rules.
 
-    An instance read from a document is first checked column by column,
-    with no ``Bundle`` objects; only when that check fails does the walk
-    below run on its ``delegations``.  The walk is the one source of
-    located violations.
+    The verdict is the column check of ``instance._columns``, with no
+    ``Bundle`` objects; only when that check fails does the walk below
+    run on ``delegations``, as the one source of located violations.
     """
     violations: list[Violation] = []
 
@@ -341,8 +287,7 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
         record(None, None, "duplicate-voter", "voter identifiers repeat")
     if violations:
         return ValidationReport(tuple(violations))
-    columns = getattr(instance, "_columns", None)
-    if columns is not None and columns.valid(instance.n, instance.m, tol):
+    if instance._columns.valid(instance.n, instance.m, tol):
         return ValidationReport(())
 
     candidate_set = set(instance.candidates)
@@ -469,7 +414,7 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
     flat = x.ravel()
     return not any(
         np.any(np.abs(flat[size.own].sum(axis=-1, keepdims=True) - size.budget) > tol)
-        for size in instance._by_size
+        for size in instance._plan
     )
 
 
@@ -521,6 +466,6 @@ def project_to_feasible(instance, y) -> np.ndarray:
         raise ValueError("projection input must be finite")
     flat = y.ravel()
     out = np.empty(flat.shape)
-    for size in instance._by_size:
+    for size in instance._plan:
         out[size.own] = _project_rows(flat[size.own], size.budget)
     return out.reshape(y.shape)

@@ -18,9 +18,9 @@ EP-TI  ``z = y`` at or above the threshold, the continuous blend
        ``z = y + (threshold - nu)*d`` below it.
 WCC    ``z = d + weight*y`` on both sides.
 
-``ElectionInstance._by_size`` holds coefficients and fallbacks as columns,
+``ElectionInstance._plan`` holds coefficients and fallbacks as columns,
 one record per bundle size with each kind of bundle in one slice of rows
-(``_columns.size_view``); no kernel here reads a notion.  ``best_response``
+(``_columns.compile_plan``); no kernel here reads a notion.  ``best_response``
 costs one gather, ``_kernel`` call and scatter per bundle size, and takes
 a stack ``(..., n, m)`` in one pass, walked in blocks of about ``_BLOCK``
 gathered elements per size so that temporaries stay small.  Every slice
@@ -137,7 +137,7 @@ def best_response(x, instance) -> np.ndarray:
         raise ValueError("best-response input must be finite")
     stack = np.ascontiguousarray(x).reshape(-1, instance.n * instance.m)
     out = np.empty(stack.shape)
-    for size in instance._by_size:
+    for size in instance._plan:
         if size.fixed is not None:
             out[:, size.fixed.own] = size.fixed.default
         if not size.delegate.size:
@@ -203,9 +203,9 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
     """
     r = fx - x
     flat, residual = np.ravel(x), r.ravel()
-    count = sum(size.rank.size for size in instance._by_size)
-    cells, pulled = np.empty(count, dtype=np.intp), np.empty(count)  # J_f^T r, in plan order
-    for size in instance._by_size:
+    plan = instance._plan
+    pulled = np.empty(plan.scatter.size)  # J_f^T r, in plan order
+    for size in plan:
         if size.hard is not None:
             raise AssertionError("no gradient for notion EP-T")
         y = flat[size.delegate]
@@ -219,10 +219,9 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
             a = size.blend
             v = w[a.rows]
             np.copyto(v, v + a.q * _sum(a.default * v), where=below)
-        cells[size.rank] = size.delegate
         pulled[size.rank] = w
     # delegates repeat, so the scatter must accumulate
-    return 2.0 * (np.bincount(cells, pulled, minlength=x.size).reshape(x.shape) - r)
+    return 2.0 * (np.bincount(plan.scatter, pulled, minlength=x.size).reshape(x.shape) - r)
 
 
 def residual_norms(x, instance, fx=None) -> tuple[float, float]:

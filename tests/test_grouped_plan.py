@@ -2,8 +2,9 @@
 
 ``best_response``, ``project_to_feasible``, ``is_feasible`` and
 ``initial_point`` run off ``ElectionInstance._plan``: one stacked record
-per (notion, bundle size).  ``reference_plan`` compiles the same
-delegations one record per bundle, in voter-then-bundle order.  The loops
+per bundle size, compiled from the instance's columns.
+``reference_plan`` compiles the same delegations one record per bundle,
+in voter-then-bundle order.  The loops
 below walk it one bundle at a time, as these functions did before the
 grouping, and ``reference_project_simplex`` is the one-dimensional
 projection that ``project_simplex`` used to be; they are the references,
@@ -13,10 +14,12 @@ before the four notions shared one pre-image, so the same comparison
 pins every notion's bits too.  ``bundle_response`` reads one bundle's
 cells off the same map and must match them too.
 
-``project_to_feasible`` and ``is_feasible`` have since regrouped the
-plan by bundle size alone.  ``reference_grouped_project`` and
-``reference_grouped_is_feasible`` keep the (notion, size) loops they
-replaced, the projection's ``take_along_axis`` included; they cover
+The library once stacked the bundles per (notion, bundle size); then
+``project_to_feasible`` and ``is_feasible`` regrouped them by bundle size
+alone.  ``reference_groups`` stacks ``reference_plan`` per (notion, size)
+as the library did, and ``reference_grouped_project`` and
+``reference_grouped_is_feasible`` keep the (notion, size) loops over
+those groups that the size records replaced, the projection's ``take_along_axis`` included; they cover
 rows the one-dimensional reference cannot, such as a row in which no
 prefix passes the threshold test.
 
@@ -53,8 +56,7 @@ from liquidballots import (
     serialize_instance,
     validate_instance,
 )
-from liquidballots._columns import size_view
-from liquidballots.model import _BundleGroup
+from liquidballots._columns import BundleColumns, compile_plan
 
 
 def reference_plan(instance):
@@ -75,6 +77,40 @@ def reference_plan(instance):
                 )
             )
     return tuple(cells)
+
+
+def reference_groups(instance):
+    """``reference_plan`` stacked per (notion, bundle size), as the library's
+    plan once was: groups in order of first appearance, bundles in order
+    inside each, the even split of the budget where a bundle has no
+    default."""
+    groups = {}
+    for index, cell in enumerate(reference_plan(instance)):
+        groups.setdefault((cell.notion, len(cell.cols)), []).append((index, cell))
+    stacked = []
+    for (notion, k), members in groups.items():
+        index, cells = zip(*members)
+
+        def column(field):
+            return np.array([[getattr(cell, field)] for cell in cells])
+
+        stacked.append(
+            SimpleNamespace(
+                notion=notion,
+                index=np.array(index),
+                voter=column("voter"),
+                delegate=column("delegate"),
+                cols=np.array([cell.cols for cell in cells], dtype=int).reshape(-1, k),
+                budget=column("budget"),
+                weight=column("weight"),
+                threshold=column("threshold"),
+                default=np.array(
+                    [cell.default if cell.default is not None else [cell.budget / k] * k for cell in cells],
+                    dtype=float,
+                ).reshape(-1, k),
+            )
+        )
+    return tuple(stacked)
 
 
 def reference_proportional(y, budget):
@@ -177,7 +213,7 @@ def reference_grouped_project(instance, y):
     """``project_to_feasible`` as it was: one block per (notion, size) group."""
     y = np.ascontiguousarray(y, dtype=float)
     out = np.empty(y.shape)
-    for g in instance._plan:
+    for g in reference_groups(instance):
         out[g.voter, g.cols] = reference_project_rows(y[g.voter, g.cols], g.budget)
     return out
 
@@ -193,7 +229,7 @@ def reference_grouped_is_feasible(instance, x, tol=1e-9):
         return False
     return not any(
         np.any(np.abs(x[g.voter, g.cols].sum(axis=-1, keepdims=True) - g.budget) > tol)
-        for g in instance._plan
+        for g in reference_groups(instance)
     )
 
 
@@ -245,7 +281,7 @@ def reference_grouped_best_response(x, instance):
     x = np.asarray(x, dtype=float)
     stack = x.reshape((-1,) + x.shape[-2:])
     out = np.empty(stack.shape)
-    for g in instance._plan:
+    for g in reference_groups(instance):
         if g.notion is Notion.DIRECT:
             out[:, g.voter, g.cols] = g.budget
             continue
@@ -261,20 +297,28 @@ def reference_grouped_best_response(x, instance):
 
 def epti_record(budget, threshold, default):
     """The size record of one EP-TI bundle over ``len(default)`` candidates,
-    delegated to its own voter, with an arbitrary ``threshold``."""
+    delegated to its own voter, with an arbitrary ``threshold``.
+
+    ``compile_plan`` computes the threshold as ``1 / weight``, which not
+    every threshold is, so the record's copies are set afterwards."""
     k = len(default)
-    group = _BundleGroup(
-        notion=Notion.EP_TI,
-        index=np.array([0]),
-        voter=np.array([[0]]),
-        delegate=np.array([[0]]),
-        cols=np.arange(k)[None],
-        budget=np.array([[budget]]),
-        weight=np.array([[1.0 / threshold]]),
-        threshold=np.array([[threshold]]),
-        default=np.asarray(default, dtype=float)[None],
+    columns = BundleColumns(
+        voter=np.array([0]),
+        delegate=np.array([0]),
+        notion=np.array([list(Notion).index(Notion.EP_TI)]),
+        size=np.array([k]),
+        budget=np.array([budget], dtype=float),
+        weight=np.array([1.0 / threshold]),
+        has_weight=np.array([True]),
+        default_size=np.array([k]),
+        cols=np.arange(k),
+        default=np.asarray(default, dtype=float),
+        members=[f"c{i}" for i in range(k)],
+        delegates=["v"],
     )
-    (record,) = size_view((group,), k)
+    (record,) = compile_plan(columns, k)
+    record.blend.threshold[...] = threshold
+    record.blend.p[...] = threshold
     return record
 
 
@@ -393,7 +437,7 @@ def test_best_response_matches_per_bundle_loop(seed, n, m, stack, layout, block)
 
 def test_best_response_walks_a_stack_of_several_blocks():
     instance = fixtures.crossed_thresholds(Notion.EP_T)
-    group_elements = sum(g.cols.size for g in instance._plan if g.notion is not Notion.DIRECT)
+    group_elements = sum(g.cols.size for g in reference_groups(instance) if g.notion is not Notion.DIRECT)
     count = 3 * response._BLOCK // group_elements + 5
     rng = np.random.default_rng(3)
     xs = probe_matrices(rng, instance, count)
@@ -472,9 +516,10 @@ def test_projection_and_feasibility_by_size_match_the_grouped_loops(
     numpy sums pairwise; a size block merges such bundles across notions,
     and DIRECT singletons share the size-1 block with delegated ones."""
     rng = np.random.default_rng(seed)
-    instance = mixed_instance(rng, n, m)
-    if columnar:  # the plan compiled from columns, with no Bundle view
-        instance = parse_instance(serialize_instance(instance))
+    source = mixed_instance(rng, n, m)
+    # the referees read the source's bundles, so that a parsed instance
+    # never builds its Bundle view
+    instance = parse_instance(serialize_instance(source)) if columnar else source
     y = rng.uniform(-1.0, 2.0, size=(n, m))
     if ties:  # repeated values and exact zeros inside slices
         y = np.round(y, 1) * (rng.random((n, m)) < 0.7)
@@ -482,8 +527,8 @@ def test_projection_and_feasibility_by_size_match_the_grouped_loops(
         y[int(rng.integers(n)), int(rng.integers(m))] = 1e20
     projected = project_to_feasible(instance, laid_out(y, layout))
     assert projected.flags.c_contiguous
-    assert_array_equal(projected, reference_grouped_project(instance, y))
-    feasible = reference_grouped_project(instance, np.clip(y, -1.0, 2.0))
+    assert_array_equal(projected, reference_grouped_project(source, y))
+    feasible = reference_grouped_project(source, np.clip(y, -1.0, 2.0))
     for x in (
         y,
         projected,
@@ -494,7 +539,7 @@ def test_projection_and_feasibility_by_size_match_the_grouped_loops(
     ):
         for tol in (1e-9, 0.0):
             assert is_feasible(instance, laid_out(x, layout), tol) == (
-                reference_grouped_is_feasible(instance, x, tol)
+                reference_grouped_is_feasible(source, x, tol)
             )
     if columnar:
         assert "delegations" not in instance.__dict__
@@ -531,33 +576,83 @@ def test_initial_point_matches_per_bundle_loop(seed, n, m):
         assert_array_equal(initial_point(instance, mode), reference_initial_point(instance, mode))
 
 
+#: The kinds of a size record's rows, in order, and the notion of each.
+KINDS = (
+    ("keep", Notion.EP), ("hard", Notion.EP_T), ("shift", Notion.WCC), ("blend", Notion.EP_TI),
+    ("fixed", Notion.DIRECT),
+)
+
+
+def assert_records_match(plan, source):
+    """``plan``'s size records against the bundles of ``source``.
+
+    One record per size covers every cell once; each row holds its own
+    bundle's numbers, each kind's rows are in bundle order, and ``rank``
+    lays the delegated cells out in the (notion, size) groups' plan order,
+    the order in which the gradient sums them.
+    """
+    m = source.m
+    assert len({size.own.shape[1] for size in plan}) == len(plan)
+    own = np.concatenate([size.own.ravel() for size in plan])
+    assert sorted(own.tolist()) == list(range(source.n * m))
+
+    reference = reference_plan(source)
+    bundle_at = {cell.voter * m + cell.cols[0]: index for index, cell in enumerate(reference)}
+    for size in plan:
+        index = [bundle_at[cells[0]] for cells in size.own]
+        for row, cell in enumerate(reference[i] for i in index):
+            assert_array_equal(size.own[row], cell.voter * m + cell.cols)
+            assert size.budget[row, 0] == cell.budget
+            if cell.notion is Notion.DIRECT:
+                assert_array_equal(size.default[row], cell.budget)
+            elif cell.default is not None:
+                assert_array_equal(size.default[row], cell.default)
+            else:
+                assert_array_equal(size.default[row], cell.budget / len(cell.cols))
+        kinds = [[notion for _, notion in KINDS].index(reference[i].notion) for i in index]
+        assert kinds == sorted(kinds)  # DIRECT, the fixed rows, last
+        for position, (kind, _) in enumerate(KINDS[:4]):
+            span = [row for row, k in enumerate(kinds) if k == position]
+            record = getattr(size, kind)
+            if not span:
+                assert record is None
+                continue
+            assert record.rows == slice(span[0], span[-1] + 1)
+            in_kind = [index[row] for row in span]
+            assert in_kind == sorted(in_kind)
+            bundles = [reference[i] for i in in_kind]
+            if kind in ("hard", "blend"):
+                assert_array_equal(record.threshold[:, 0], [cell.threshold for cell in bundles])
+            if kind == "shift":
+                assert_array_equal(record.c[:, 0], [cell.weight for cell in bundles])
+        live = sum(k < 4 for k in kinds)
+        assert index[live:] == sorted(index[live:])
+        if live < len(kinds):
+            assert_array_equal(size.fixed.own, size.own[live:])
+        else:
+            assert size.fixed is None
+        assert_array_equal(size.live, size.own[:live])
+        assert_array_equal(size.scale, size.budget[:live])
+
+    delegated = [g for g in reference_groups(source) if g.notion is not Notion.DIRECT]
+    none = np.zeros(0, dtype=int)  # for an election with no delegated bundle
+    own_in_plan_order = np.concatenate([none, *((g.voter * m + g.cols).ravel() for g in delegated)])
+    delegate_in_plan_order = np.concatenate([none, *((g.delegate * m + g.cols).ravel() for g in delegated)])
+    ranks = np.concatenate([size.rank.ravel() for size in plan])
+    assert sorted(ranks.tolist()) == list(range(len(own_in_plan_order)))
+    for size in plan:
+        assert_array_equal(own_in_plan_order[size.rank], size.live)
+        assert_array_equal(delegate_in_plan_order[size.rank], size.delegate)
+    assert_array_equal(plan.scatter, delegate_in_plan_order)
+
+
 def test_groups_cover_every_bundle_once():
     rng = np.random.default_rng(8)
-    instance = mixed_instance(rng, 12, 9)
-    keys = [(g.notion, g.cols.shape[1]) for g in instance._plan]
-    assert len(keys) == len(set(keys))
-    reference = reference_plan(instance)
-    indices = np.concatenate([g.index for g in instance._plan])
-    assert sorted(indices.tolist()) == list(range(len(reference)))
-    assert all(np.all(np.diff(g.index) > 0) for g in instance._plan)
-    for g in instance._plan:
-        for row, index in enumerate(g.index):
-            cell = reference[index]
-            assert (g.notion, g.voter[row, 0], g.delegate[row, 0]) == (
-                cell.notion, cell.voter, cell.delegate,
-            )
-            assert_array_equal(g.cols[row], cell.cols)
-            assert_array_equal(
-                [g.budget[row, 0], g.weight[row, 0], g.threshold[row, 0]],
-                [cell.budget, cell.weight, cell.threshold],
-            )
-    cells = {
-        (int(v), int(c))
-        for g in instance._plan
-        for v, cols in zip(g.voter[:, 0], g.cols)
-        for c in cols
-    }
-    assert cells == {(v, c) for v in range(instance.n) for c in range(instance.m)}
+    source = mixed_instance(rng, 12, 9)
+    parsed = parse_instance(serialize_instance(source))
+    for instance in (source, parsed):
+        assert_records_match(instance._plan, source)
+    assert "delegations" not in parsed.__dict__
 
 
 def edge_instance(copies=1):
@@ -639,11 +734,13 @@ def test_size_kernel_matches_the_grouped_loop(seed, n, m, stack, block, signed_z
         xs[(xs == 0.0) & (rng.random(xs.shape) < 0.5)] = -0.0
     instance = parse_instance(serialize_instance(source)) if columnar else source
     x = xs.reshape(stack + (n, m))
+    # the referee reads the source's bundles, so that a parsed instance
+    # never builds its Bundle view
     with mock.patch.object(response, "_BLOCK", block):
-        assert_same_bits(best_response(x, instance), reference_grouped_best_response(x, instance))
+        assert_same_bits(best_response(x, instance), reference_grouped_best_response(x, source))
     for single in xs[:3]:
-        assert_same_bits(best_response(single, instance), reference_grouped_best_response(single, instance))
-    if columnar:  # the size view is cut from the plan alone
+        assert_same_bits(best_response(single, instance), reference_grouped_best_response(single, source))
+    if columnar:  # the size records are compiled from the columns alone
         assert "delegations" not in instance.__dict__
 
 
@@ -653,7 +750,7 @@ def test_size_kernel_matches_the_grouped_loop_at_every_edge(zero, copies):
     """Nine copies put 36 rows in the nine-member block, so its slices are
     summed over stacks of two and three matrices as well as singly."""
     instance = edge_instance(copies)
-    assert {size.own.shape[1] for size in instance._by_size} == {1, 4, 9}
+    assert {size.own.shape[1] for size in instance._plan} == {1, 4, 9}
     rng = np.random.default_rng(5)
     for _ in range(20):
         xs = edge_matrices(rng, instance, zero)

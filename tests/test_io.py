@@ -2,14 +2,16 @@
 
 import copy
 import json
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
-from test_grouped_plan import mixed_instance, reference_plan
+from test_grouped_plan import assert_records_match, mixed_instance
 
 from liquidballots import (
     BUDGET_TOL,
@@ -18,11 +20,16 @@ from liquidballots import (
     InstanceSyntaxError,
     InvalidInstanceError,
     Notion,
+    best_response,
     fixtures,
+    initial_point,
     instance_from_doc,
     instance_to_doc,
+    is_feasible,
     parse_instance,
     parse_solution,
+    project_to_feasible,
+    random_feasible_point,
     serialize_instance,
     serialize_solution,
     trace_csv,
@@ -297,11 +304,49 @@ def test_parse_reports_the_violations_of_the_bundle_walk(rule, mutations):
     doc = copy.deepcopy(BASE_DOC)
     for mutate in mutations:
         mutate(doc)
-    expected = validate_instance(bundle_instance(doc))
+    built = bundle_instance(doc)
+    expected = validate_instance(built)
     assert rule in {v.rule for v in expected.violations}
+    assert built._columns.valid(built.n, built.m, BUDGET_TOL) == expected.ok
     with pytest.raises(InvalidInstanceError) as caught:
         parse_instance(json.dumps(doc))
     assert caught.value.report.violations == expected.violations
+
+
+#: Defects that leave bundles impossible to compile, and the rule each breaks.
+UNCOMPILABLE = [
+    ("unknown-candidate", [_set((*V, 2, "members"), ["c5"])]),
+    ("unknown-delegate", [_set((*V, 0, "delegate"), "x")]),
+    RULE_MUTATIONS[0],  # an empty bundle
+    ("weight-range", [_set((*V, 0, "weight"), "0")]),
+    ("default-length", [_set((*V, 0, "default"), ["0.25", "0.25", "0"])]),
+]
+
+
+@pytest.mark.parametrize("parsed", [False, True], ids=["built", "parsed"])
+@pytest.mark.parametrize("rule,mutations", UNCOMPILABLE, ids=[rule for rule, _ in UNCOMPILABLE])
+def test_instances_that_cannot_be_compiled_are_refused(rule, mutations, parsed):
+    """Every kernel refuses such an instance with the walk's report, before
+    any arithmetic: no stray error, no wrong cell, no numpy warning."""
+    doc = copy.deepcopy(BASE_DOC)
+    for mutate in mutations:
+        mutate(doc)
+    instance = instance_from_doc(doc) if parsed else bundle_instance(doc)
+    x = np.full((instance.n, instance.m), 0.25)
+    expected = validate_instance(bundle_instance(doc))
+    assert rule in {v.rule for v in expected.violations}
+    for kernel in (
+        lambda: best_response(x, instance),
+        lambda: project_to_feasible(instance, x),
+        lambda: is_feasible(instance, x),
+        lambda: initial_point(instance),
+        lambda: random_feasible_point(np.random.default_rng(0), instance),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInstanceError) as caught:
+                kernel()
+        assert caught.value.report == expected
 
 
 def test_base_document_is_valid():
@@ -319,41 +364,41 @@ def test_a_sound_weight_and_default_on_an_ep_bundle_are_valid():
     assert inst.bundles_of("v")[2].weight == 2.0
 
 
-PLAN_FIELDS = ("index", "voter", "delegate", "cols", "budget", "weight", "threshold", "default")
+def record_arrays(record, prefix=""):
+    """Every array and row slice of a size record, by dotted name."""
+    fields = {}
+    for name, value in vars(record).items():
+        if isinstance(value, SimpleNamespace):
+            fields.update(record_arrays(value, f"{prefix}{name}."))
+        else:
+            fields[prefix + name] = value
+    return fields
 
 
 def test_parsed_instances_equal_their_source_and_compile_the_same_plan():
     """Forty random elections through their documents: the parsed instance
-    equals the source, and its plan, built from the document's columns,
-    matches the per-bundle reference and the plan compiled from the
-    source's bundles, bit for bit and group by group."""
+    equals the source, and its size records, compiled from the document's
+    columns, equal those compiled from the source's bundles, field for
+    field and bit for bit, as do the gradient's scatter lists, and they
+    match the source's bundles."""
     rng = np.random.default_rng(12)
     for _ in range(40):
         inst = mixed_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         parsed = parse_instance(serialize_instance(inst))
-        plan = parsed._plan  # built while parsing, before the Bundle view exists
+        plan = parsed._plan  # compiled before the Bundle view exists
+        assert "delegations" not in parsed.__dict__
         assert parsed == inst
-        reference = reference_plan(inst)
-        indices = np.concatenate([g.index for g in plan])
-        assert sorted(indices.tolist()) == list(range(len(reference)))
+        assert_records_match(plan, inst)
+        assert plan.scatter.tobytes() == inst._plan.scatter.tobytes()
         for g, h in zip(plan, inst._plan, strict=True):
-            assert g.notion is h.notion
-            for field in PLAN_FIELDS:
-                got, compiled = getattr(g, field), getattr(h, field)
-                assert got.dtype == compiled.dtype and got.shape == compiled.shape
-                assert got.tobytes() == compiled.tobytes(), field
-            for row, index in enumerate(g.index):
-                cell = reference[index]
-                assert (g.notion, g.voter[row, 0], g.delegate[row, 0]) == (
-                    cell.notion, cell.voter, cell.delegate,
-                )
-                assert_array_equal(g.cols[row], cell.cols)
-                assert_array_equal(
-                    [g.budget[row, 0], g.weight[row, 0], g.threshold[row, 0]],
-                    [cell.budget, cell.weight, cell.threshold],
-                )
-                if cell.default is not None:
-                    assert_array_equal(g.default[row], cell.default)
+            got, compiled = record_arrays(g), record_arrays(h)
+            assert got.keys() == compiled.keys()
+            for field, value in got.items():
+                if not isinstance(value, np.ndarray):  # a kind's row slice, or None
+                    assert value == compiled[field], field
+                    continue
+                assert value.dtype == compiled[field].dtype and value.shape == compiled[field].shape
+                assert value.tobytes() == compiled[field].tobytes(), field
 
 
 @settings(deadline=None, max_examples=80)
@@ -380,6 +425,7 @@ def test_column_check_agrees_with_the_walk_near_the_tolerance(seed, field, nudge
     parsed = instance_from_doc(doc)
     report = validate_instance(parsed)
     assert parsed._columns.valid(parsed.n, parsed.m, BUDGET_TOL) == report.ok
+    assert bundle_instance(doc)._columns.valid(parsed.n, parsed.m, BUDGET_TOL) == report.ok
     assert report == validate_instance(bundle_instance(doc))
 
 
@@ -458,5 +504,5 @@ def test_a_subnormal_weight_compiles_to_an_infinite_threshold():
     doc = copy.deepcopy(BASE_DOC)
     doc["voters"][2]["bundles"][0]["weight"] = "5e-324"
     inst = parse_instance(json.dumps(doc))
-    (group,) = [g for g in inst._plan if g.notion is Notion.EP_T]
-    assert group.threshold[0, 0] == np.inf == inst.bundles_of("w")[0].threshold
+    (hard,) = [size.hard for size in inst._plan if size.hard is not None]
+    assert hard.threshold[0, 0] == np.inf == inst.bundles_of("w")[0].threshold

@@ -364,7 +364,7 @@ def reference_simple_iteration(instance, x0, cfg):
 
 
 def reference_residual_descent(instance, x0, cfg):
-    if any(g.notion is Notion.EP_T for g in instance._plan):
+    if any(size.hard is not None for size in instance._plan):
         raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
     x = np.array(x0, dtype=float)
     trajectory = []
@@ -410,7 +410,7 @@ def reference_solve(instance, cfg, strategy):
     if strategy == "descent":
         return reference_residual_descent(instance, x0, cfg)
     report = reference_simple_iteration(instance, x0, cfg)
-    if report.status == "converged" or any(g.notion is Notion.EP_T for g in instance._plan):
+    if report.status == "converged" or any(size.hard is not None for size in instance._plan):
         return report
     follow = reference_residual_descent(instance, report.solution, cfg)
     return SolveReport(
