@@ -27,6 +27,7 @@ from .counterexamples import SEARCH_KINDS, save_finding, search_violation
 from .io import (
     InstanceSyntaxError,
     _format_number,
+    _format_numbers,
     parse_instance,
     parse_solution,
     serialize_solution,
@@ -76,9 +77,11 @@ def _read_instance(path):
 
 def _print_matrix(instance, x, out):
     width = max(len(v) for v in instance.voters)
-    for vi, voter in enumerate(instance.voters):
-        cells = ", ".join(_format_number(c) for c in x[vi])
-        print(f"  {voter:<{width}} [{cells}]", file=out)
+    cells, m = _format_numbers(x), instance.m
+    print("\n".join(
+        f"  {voter:<{width}} [{', '.join(cells[i * m:i * m + m])}]"
+        for i, voter in enumerate(instance.voters)
+    ), file=out)
 
 
 def _cmd_validate(args) -> int:
@@ -131,8 +134,10 @@ def _cmd_verify(args) -> int:
     feasible = is_feasible(instance, x, tol=max(args.tol, 1e-9))
     report = regret(x, instance)
     width = max(len(v) for v in instance.voters)
-    for voter, value in zip(instance.voters, report.per_voter):
-        print(f"  regret {voter:<{width}} {_format_number(value)}")
+    print("\n".join(
+        f"  regret {voter:<{width}} {value}"
+        for voter, value in zip(instance.voters, _format_numbers(report.per_voter))
+    ))
     worst = float(np.max(report.per_voter)) if len(report.per_voter) else 0.0
     print(f"max regret: {_format_number(worst)}")
     print(f"feasible: {'yes' if feasible else 'no'}")

@@ -23,6 +23,14 @@ rejected.
 
 Solutions are JSON documents carrying the row-major matrix together with
 the orderings it is indexed by.
+
+The writers produce the text of ``json.dumps(doc, indent=2)`` byte for
+byte, without the pure-Python encoder that an indent selects: the lazily
+imported ``_documents`` lays out the two schemas with string joins (a
+solution holding NaN or infinite values still goes through
+``json.dumps``).  The reader checks the voter records a column at a
+time, and walks them field by field only when a column is in doubt, so
+that an error still names the first bad field.
 """
 
 from __future__ import annotations
@@ -129,38 +137,6 @@ _BUNDLE_OPTIONAL = ("weight", "default")
 _REQUIRED_FIELDS = frozenset(_BUNDLE_REQUIRED)
 _BUNDLE_FIELDS = _REQUIRED_FIELDS | frozenset(_BUNDLE_OPTIONAL)
 
-#: Every byte of a column of plain decimals, joined by newlines.
-_DECIMAL_BYTES = b"0123456789.+-eE\n"
-
-
-def _floats(cells):
-    """``_number`` of every cell of a column of plain decimal strings, else ``None``.
-
-    Over the characters of plain decimals (digits, ``.``, signs and an
-    exponent) ``float`` and ``Decimal`` accept the same strings, and
-    ``float(s)`` is the double nearest to the exact value, as
-    ``float(Decimal(s))`` is.  The one exception is an exponent past
-    ``Decimal``'s range, which ``_number`` refuses and ``float`` reads as
-    0 or inf; columns holding one, rationals, JSON numbers or anything
-    else are left to ``_number``.
-    """
-    try:
-        text = "\n".join(cells)
-    except TypeError:  # a cell that is not a string
-        return None
-    if not text.isascii() or text.encode().translate(None, _DECIMAL_BYTES):
-        return None
-    try:
-        values = list(map(float, cells))
-    except ValueError:
-        return None
-    if ("e" in text or "E" in text) and any(
-        (v == 0.0 or math.isinf(v)) and ("e" in c or "E" in c) for v, c in zip(values, cells)
-    ):
-        return None
-    return values
-
-
 def _numbers(bundle_docs, counts):
     """Budgets, weights and default entries of the bundles, by ``_number``.
 
@@ -183,36 +159,23 @@ def _numbers(bundle_docs, counts):
     return budgets, weights, defaults
 
 
-def instance_from_doc(doc) -> ElectionInstance:
-    """Build an instance from a parsed JSON document, without validating.
+def _walk(records):
+    """Check the voter records field by field, raising at the first bad one.
 
-    One pass over the voter records checks every field; the bundles then
-    become columns, their numbers are converted a column at a time, and
-    the instance carries the columns (a ``_columns.BundleColumns``), with
-    no ``Bundle`` objects; its size records are compiled from them on
-    first use.  An error names the first bad field in document order.
+    A bad number in an earlier bundle is reported before a structural
+    error in a later one; ``_documents.read_columns`` converts the numbers
+    of records that pass.
     """
-    from ._columns import NOTION_CODES, BundleColumns  # compiled on the first parse only
+    from ._columns import NOTION_CODES
 
-    _require(doc, ("schema_version", "candidates", "voters"), (), "instance")
-    if doc["schema_version"] != INSTANCE_SCHEMA_VERSION:
-        raise InstanceSyntaxError(
-            f"unsupported schema_version {doc['schema_version']!r}", "instance"
-        )
-    candidates = _string_list(doc["candidates"], "candidates")
-    if not isinstance(doc["voters"], list):
-        raise InstanceSyntaxError("expected a list of voter records", "voters")
-
-    voters = []
     counts = []  # bundle records of each voter
     bundle_docs = []
     try:
-        for i, record in enumerate(doc["voters"]):
+        for i, record in enumerate(records):
             where = f"voters[{i}]"
             _require(record, ("name", "bundles"), (), where)
             if not isinstance(record["name"], str):
                 raise InstanceSyntaxError("voter name must be a string", where)
-            voters.append(record["name"])
             if not isinstance(record["bundles"], list):
                 raise InstanceSyntaxError("expected a list of bundles", where)
             counts.append(len(record["bundles"]))
@@ -237,43 +200,32 @@ def instance_from_doc(doc) -> ElectionInstance:
         _numbers(bundle_docs, counts)  # a bad number earlier in the document comes first
         raise
 
-    numbers = [
-        _floats(column)
-        for column in (
-            [bdoc["budget"] for bdoc in bundle_docs],
-            [bdoc["weight"] for bdoc in bundle_docs if "weight" in bdoc],
-            [d for bdoc in bundle_docs if "default" in bdoc for d in bdoc["default"]],
-        )
-    ]
-    if any(column is None for column in numbers):
-        numbers = _numbers(bundle_docs, counts)
-    budget, weight, default = (np.array(column, dtype=float) for column in numbers)
-    del numbers
 
-    candidate_index = {c: i for i, c in enumerate(candidates)}
-    voter_index = {v: i for i, v in enumerate(voters)}
-    members = [c for bdoc in bundle_docs for c in bdoc["members"]]
-    delegates = [bdoc["delegate"] for bdoc in bundle_docs]
-    has_weight = np.array(["weight" in bdoc for bdoc in bundle_docs], dtype=bool)
-    weights = np.full(len(bundle_docs), math.nan)
-    weights[has_weight] = weight
-    columns = BundleColumns(
-        voter=np.repeat(np.arange(len(voters)), counts),
-        delegate=np.array([voter_index.get(d, -1) for d in delegates], dtype=int),
-        notion=np.array([NOTION_CODES[bdoc["notion"]] for bdoc in bundle_docs], dtype=int),
-        size=np.array([len(bdoc["members"]) for bdoc in bundle_docs], dtype=int),
-        budget=budget,
-        weight=weights,
-        has_weight=has_weight,
-        default_size=np.array(
-            [len(bdoc["default"]) if "default" in bdoc else -1 for bdoc in bundle_docs], dtype=int
-        ),
-        cols=np.array([candidate_index.get(c, -1) for c in members], dtype=int),
-        default=default,
-        members=members,
-        delegates=delegates,
-    )
-    return ElectionInstance._from_columns(candidates, voters, columns)
+def instance_from_doc(doc) -> ElectionInstance:
+    """Build an instance from a parsed JSON document, without validating.
+
+    The voter records are read a column at a time into a
+    ``_columns.BundleColumns`` that the instance carries, with no
+    ``Bundle`` objects; its size records are compiled from them on first
+    use.  Records that the column checks doubt are walked field by
+    field, so that an error names the first bad field in document order.
+    """
+    from ._documents import read_columns  # compiled on the first parse only
+
+    _require(doc, ("schema_version", "candidates", "voters"), (), "instance")
+    if doc["schema_version"] != INSTANCE_SCHEMA_VERSION:
+        raise InstanceSyntaxError(
+            f"unsupported schema_version {doc['schema_version']!r}", "instance"
+        )
+    candidates = _string_list(doc["candidates"], "candidates")
+    records = doc["voters"]
+    if not isinstance(records, list):
+        raise InstanceSyntaxError("expected a list of voter records", "voters")
+    read = read_columns(records, candidates)
+    if read is None:
+        _walk(records)
+        read = read_columns(records, candidates, checked=True)
+    return ElectionInstance._from_columns(candidates, *read)
 
 
 def parse_instance(text) -> ElectionInstance:
@@ -299,42 +251,71 @@ def parse_instance(text) -> ElectionInstance:
 def _format_number(value) -> str:
     """Shortest decimal string that parses back to the same double.
 
-    Whole numbers below 1e16 print without a decimal point; non-finite
-    values print as ``nan``, ``inf`` and ``-inf``.
+    The ``repr`` of the double with a trailing ``.0`` dropped and ``-0``
+    written ``0``: whole numbers below 1e16 print without a decimal point
+    (``repr`` writes larger ones with an exponent), non-finite values as
+    ``nan``, ``inf`` and ``-inf``.
     """
-    value = float(value)
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    text = repr(float(value) + 0.0)  # adding 0.0 turns -0.0 into 0.0
+    return text[:-2] if text.endswith(".0") else text
+
+
+def _format_numbers(values) -> list[str]:
+    """``_format_number`` of every entry of the array ``values``, in C order.
+
+    The same rule applied to the newline-joined text of all entries at once.
+    """
+    text = "\n".join(map(float.__repr__, (np.asarray(values, dtype=float).ravel() + 0.0).tolist()))
+    return (text + "\n").replace(".0\n", "\n").split("\n")[:-1] if text else []
 
 
 def instance_to_doc(instance) -> dict:
-    voters = []
-    for voter, bundles in zip(instance.voters, instance.delegations):
-        records = []
-        for bundle in bundles:
-            record = {
-                "members": list(bundle.members),
-                "budget": _format_number(bundle.budget),
-                "delegate": bundle.delegate,
-                "notion": bundle.notion.value,
-            }
-            if bundle.weight is not None:
-                record["weight"] = _format_number(bundle.weight)
-            if bundle.default is not None:
-                record["default"] = [_format_number(d) for d in bundle.default]
-            records.append(record)
-        voters.append({"name": voter, "bundles": records})
+    """The document of ``instance``, built from its columns, not its ``Bundle`` view."""
+    from ._columns import NOTIONS
+
+    columns = instance._columns
+    members = iter(columns.members)
+    budgets, weights, defaults = (
+        iter(_format_numbers(column))
+        for column in (columns.budget, columns.weight[columns.has_weight], columns.default)
+    )
+    records = []
+    for delegate, code, size, weighted, default_size in zip(
+        columns.delegates, columns.notion.tolist(), columns.size.tolist(),
+        columns.has_weight.tolist(), columns.default_size.tolist(),
+    ):
+        record = {
+            "members": list(itertools.islice(members, size)),
+            "budget": next(budgets),
+            "delegate": delegate,
+            "notion": NOTIONS[code].value,
+        }
+        if weighted:
+            record["weight"] = next(weights)
+        if default_size >= 0:
+            record["default"] = list(itertools.islice(defaults, default_size))
+        records.append(record)
+    ends = np.cumsum(np.bincount(columns.voter, minlength=instance.n)).tolist()
+    rows = min(instance.n, instance._rows)  # as a zip of voters with their rows
     return {
         "schema_version": INSTANCE_SCHEMA_VERSION,
         "candidates": list(instance.candidates),
-        "voters": voters,
+        "voters": [
+            {"name": voter, "bundles": records[lo:hi]}
+            for voter, lo, hi in zip(instance.voters[:rows], [0, *ends], ends)
+        ],
     }
 
 
 def serialize_instance(instance) -> str:
-    """Instance as a stable, diff-friendly JSON text."""
-    return json.dumps(instance_to_doc(instance), indent=2) + "\n"
+    """Instance as a stable, diff-friendly JSON text: ``json.dumps(doc, indent=2)``."""
+    from ._documents import instance_text
+
+    doc = instance_to_doc(instance)
+    try:
+        return instance_text(doc)
+    except TypeError:  # a name that is not a string
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def solution_to_doc(instance, x) -> dict:
@@ -343,13 +324,22 @@ def solution_to_doc(instance, x) -> dict:
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "candidates": list(instance.candidates),
         "voters": list(instance.voters),
-        "values": [[float(v) for v in row] for row in x],
+        "values": x.tolist() if x.ndim == 2 else [[float(v) for v in row] for row in x],
     }
 
 
 def serialize_solution(instance, x) -> str:
-    """Solution matrix as JSON, row-major, with its orderings."""
-    return json.dumps(solution_to_doc(instance, x), indent=2) + "\n"
+    """Solution matrix as JSON, row-major, with its orderings: ``json.dumps(doc, indent=2)``."""
+    from ._documents import solution_text
+
+    x = np.asarray(x, dtype=float)
+    doc = solution_to_doc(instance, x)
+    if np.isfinite(x).all():
+        try:
+            return solution_text(doc)
+        except TypeError:  # a name that is not a string
+            pass
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_solution(text, instance) -> np.ndarray:

@@ -175,6 +175,11 @@ class ElectionInstance:
     def voter_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.voters)}
 
+    @property
+    def _rows(self) -> int:
+        """Rows of ``delegations``: one per voter in an instance read from a document."""
+        return len(self.__dict__.get("delegations", self.voters))
+
     def bundles_of(self, voter: str) -> tuple[Bundle, ...]:
         return self.delegations[self.voter_index[voter]]
 
@@ -190,13 +195,14 @@ class ElectionInstance:
         """The size records every kernel reads: ``_columns.compile_plan``.
 
         Raises ``InvalidInstanceError``, with the report of
-        ``validate_instance``, where the bundles cannot be compiled: an
-        empty bundle, a name outside the election, a zero weight or a
-        default whose length is not the bundle's.
+        ``validate_instance``, where the bundles cannot be compiled: not
+        one row of ``delegations`` per voter, an empty bundle, a name
+        outside the election, a zero weight or a default whose length is
+        not the bundle's.
         """
         from ._columns import compile_plan
 
-        plan = compile_plan(self._columns, self.m)
+        plan = compile_plan(self._columns, self.m) if self._rows == self.n else None
         if plan is None:
             raise InvalidInstanceError(validate_instance(self))
         return plan
@@ -261,7 +267,8 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
     default's entries: budget totals and default norms are summed by
     ``math.fsum``, which rounds the exact sum once.
 
-    Rules checked, per voter: bundles are non-empty, pairwise disjoint
+    Rules checked: one row of ``delegations`` per voter; per voter,
+    bundles are non-empty, pairwise disjoint
     and cover the candidate set; budgets lie in [0, 1] and sum to 1;
     self-delegation happens exactly on DIRECT singleton bundles;
     zero-budget bundles are DIRECT; weighted notions carry a positive
@@ -285,6 +292,11 @@ def validate_instance(instance, tol=BUDGET_TOL) -> ValidationReport:
         record(None, None, "duplicate-candidate", "candidate identifiers repeat")
     if len(set(instance.voters)) != len(instance.voters):
         record(None, None, "duplicate-voter", "voter identifiers repeat")
+    if instance._rows != len(instance.voters):
+        record(
+            None, None, "delegation-rows",
+            f"{instance._rows} delegation rows for {len(instance.voters)} voters",
+        )
     if violations:
         return ValidationReport(tuple(violations))
     if instance._columns.valid(instance.n, instance.m, tol):

@@ -101,6 +101,20 @@ def test_solve_writes_solution_and_trace(tmp_path, epti_file, capsys):
     assert len(lines) > 10
 
 
+def test_solve_and_verify_reproduce_their_committed_transcripts(tmp_path, fixture_path, capsys):
+    """The printed solve output, the solution file and the printed verify
+    output of ``solve --strategy iterate`` on crossed-epti.json, byte for
+    byte (the continuous-integration run compares the console script's
+    output with the same files)."""
+    out = tmp_path / "epti.json"
+    instance = str(fixture_path / "crossed-epti.json")
+    assert run_cli(["solve", instance, "--strategy", "iterate", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (fixture_path / "crossed-epti-iterate.txt").read_text()
+    assert out.read_text() == (fixture_path / "crossed-epti-iterate-solution.json").read_text()
+    assert run_cli(["verify", instance, str(out)]) == 0
+    assert capsys.readouterr().out == (fixture_path / "crossed-epti-iterate-verify.txt").read_text()
+
+
 def test_solve_reports_absence_of_weak_points(ept_file, capsys):
     code = run_cli(["solve", ept_file, "--max-iters", "300"])
     assert code == 1

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ from liquidballots import (
     trace_csv,
     validate_instance,
 )
-from liquidballots.io import _format_number, _number
+from liquidballots.io import _format_number, _format_numbers, _number
 
 
 def test_parse_crossed_fixture_files(fixture_path):
@@ -506,3 +507,231 @@ def test_a_subnormal_weight_compiles_to_an_infinite_threshold():
     inst = parse_instance(json.dumps(doc))
     (hard,) = [size.hard for size in inst._plan if size.hard is not None]
     assert hard.threshold[0, 0] == np.inf == inst.bundles_of("w")[0].threshold
+
+
+# Byte-identity referees: the writers through ``json.dumps(indent=2)``,
+# with the document walked bundle by bundle, and the number formatter
+# one value at a time.
+
+
+def reference_format_number(value):
+    value = float(value)
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+def reference_instance_to_doc(instance):
+    voters = []
+    for voter, bundles in zip(instance.voters, instance.delegations):
+        records = []
+        for bundle in bundles:
+            record = {
+                "members": list(bundle.members),
+                "budget": reference_format_number(bundle.budget),
+                "delegate": bundle.delegate,
+                "notion": bundle.notion.value,
+            }
+            if bundle.weight is not None:
+                record["weight"] = reference_format_number(bundle.weight)
+            if bundle.default is not None:
+                record["default"] = [reference_format_number(d) for d in bundle.default]
+            records.append(record)
+        voters.append({"name": voter, "bundles": records})
+    return {
+        "schema_version": 1,
+        "candidates": list(instance.candidates),
+        "voters": voters,
+    }
+
+
+def reference_serialize_instance(instance):
+    return json.dumps(reference_instance_to_doc(instance), indent=2) + "\n"
+
+
+def reference_serialize_solution(instance, x):
+    doc = {
+        "schema_version": 1,
+        "candidates": list(instance.candidates),
+        "voters": list(instance.voters),
+        "values": [[float(v) for v in row] for row in np.asarray(x, dtype=float)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_print_matrix(instance, x, out):
+    width = max(len(v) for v in instance.voters)
+    for vi, voter in enumerate(instance.voters):
+        cells = ", ".join(reference_format_number(c) for c in x[vi])
+        print(f"  {voter:<{width}} [{cells}]", file=out)
+
+
+#: Names that JSON has to escape, or that ``ensure_ascii`` writes as ``\u`` escapes.
+names = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀 '), max_size=4)
+#: Doubles at the edges of the number rule, and any other double.
+numbers = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1.0, -3.0, 1e16, -1e16, 2.0**53, 9999999999999998.0, 1e15, 0.1, 5e-324,
+        -5e-324, 2.2250738585072014e-308, 1e-5, 123456789.0, 1.5e300,
+    ]),
+    st.floats(),
+)
+
+
+@st.composite
+def written_instances(draw):
+    """Instances of any shape a writer may be handed, valid or not: names to
+    escape, bundles without weight or default, empty lists, non-finite
+    numbers, and as many ``delegations`` rows as voters or one fewer or more."""
+    candidates = draw(st.lists(names, max_size=4))
+    voters = draw(st.lists(names, min_size=1, max_size=4))
+    bundle = st.builds(
+        Bundle,
+        members=st.lists(st.one_of(st.sampled_from(candidates or ["x"]), names), max_size=3),
+        budget=numbers,
+        delegate=st.one_of(st.sampled_from(voters), names),
+        notion=st.sampled_from(list(Notion)),
+        weight=st.none() | numbers,
+        default=st.none() | st.lists(numbers, max_size=3),
+    )
+    rows = draw(st.integers(len(voters) - 1, len(voters) + 1))
+    delegations = draw(st.lists(st.lists(bundle, max_size=3), min_size=rows, max_size=rows))
+    return ElectionInstance(candidates, voters, delegations)
+
+
+@settings(deadline=None, max_examples=200)
+@given(instance=written_instances())
+def test_instance_writer_is_json_dumps_byte_for_byte(instance):
+    """The document and its text equal those of the walk over ``delegations``
+    that ``json.dumps(indent=2)`` wrote; read back, the text is written
+    again from the columns alone, without the ``Bundle`` view."""
+    text = serialize_instance(instance)
+    assert instance_to_doc(instance) == reference_instance_to_doc(instance)
+    assert text == reference_serialize_instance(instance)
+    parsed = instance_from_doc(json.loads(text))
+    assert serialize_instance(parsed) == text
+    assert "delegations" not in parsed.__dict__
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    voters=st.lists(names, min_size=1, max_size=4),
+    m=st.integers(0, 4),
+    data=st.data(),
+)
+def test_solution_writer_and_printed_matrix_match_the_references(voters, m, data):
+    """Solution text against ``json.dumps(indent=2)`` (``NaN`` and
+    ``Infinity`` included) and the printed matrix against the old
+    per-cell ``_format_number`` loop."""
+    from io import StringIO
+
+    from liquidballots.cli import _print_matrix
+
+    instance = ElectionInstance([f"c{j}" for j in range(m)], voters, [()] * len(voters))
+    x = np.array(
+        data.draw(st.lists(numbers, min_size=len(voters) * m, max_size=len(voters) * m)),
+        dtype=float,
+    ).reshape(len(voters), m)
+    assert serialize_solution(instance, x) == reference_serialize_solution(instance, x)
+    printed, expected = StringIO(), StringIO()
+    _print_matrix(instance, x, printed)
+    reference_print_matrix(instance, x, expected)
+    assert printed.getvalue() == expected.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(numbers, max_size=8))
+def test_number_formatters_follow_one_rule(values):
+    expected = [reference_format_number(v) for v in values]
+    assert [_format_number(v) for v in values] == expected
+    assert _format_numbers(np.array(values, dtype=float)) == expected
+
+
+def test_writers_match_the_references_on_every_fixture():
+    rng = np.random.default_rng(3)
+    for instance in (
+        fixtures.example_ep(),
+        fixtures.crossed_thresholds(Notion.EP_T),
+        fixtures.crossed_thresholds(Notion.EP_TI),
+        fixtures.high_confidence(Notion.WCC, 0.015),
+        bundle_instance(BASE_DOC),
+        mixed_instance(rng, 40, 7),
+        # names that are not strings, which json.dumps writes as numbers
+        ElectionInstance((1, 2), (3,), [[Bundle((c,), 0.5, 3, Notion.DIRECT) for c in (1, 2)]]),
+    ):
+        assert serialize_instance(instance) == reference_serialize_instance(instance)
+        x = random_feasible_point(rng, instance)
+        assert serialize_solution(instance, x) == reference_serialize_solution(instance, x)
+
+
+#: A document of 300 voters, and the last bundle of its last voter.
+LARGE_DOC = instance_to_doc(mixed_instance(np.random.default_rng(5), 300, 6))
+LAST = ("voters", 299, "bundles", len(LARGE_DOC["voters"][299]["bundles"]) - 1)
+
+
+@pytest.mark.parametrize(
+    "mutations,error",
+    [
+        ([_set((*LAST, "members"), ["c1", 7])], r"voters\[299\]\.bundles\[\d+\]\.members: expected a list of strings"),
+        ([_set((*LAST, "delegate"), 7)], r"voters\[299\]\.bundles\[\d+\]: delegate must be a string"),
+        ([_set((*LAST, "notion"), 7)], r"voters\[299\]\.bundles\[\d+\]: invalid notion 7"),
+        ([_set((*LAST, "notion"), "EPT")], r"voters\[299\]\.bundles\[\d+\]: invalid notion 'EPT'"),
+        ([_set((*LAST, "flavor"), "salty")], r"voters\[299\]\.bundles\[\d+\]: unknown fields: flavor"),
+        ([_drop(*LAST, "budget")], r"voters\[299\]\.bundles\[\d+\]: missing field 'budget'"),
+        ([_set((*LAST, "default"), "0.5")], r"voters\[299\]\.bundles\[\d+\]: default must be a list"),
+        ([_set(LAST, ["members"])], r"voters\[299\]\.bundles\[\d+\]: expected an object"),
+        ([_set(("voters", 299, "name"), 7)], r"voters\[299\]: voter name must be a string"),
+        ([_set(("voters", 299, "flavor"), 7)], r"voters\[299\]: unknown fields: flavor"),
+        ([_drop("voters", 299, "name")], r"voters\[299\]: missing field 'name'"),
+        ([_set(("voters", 299), ["v299"])], r"voters\[299\]: expected an object"),
+        ([_set(("voters", 299, "bundles"), {})], r"voters\[299\]: expected a list of bundles"),
+        (  # a bad number earlier in the document comes first
+            [_set((*LAST, "delegate"), 7), _set(("voters", 3, "bundles", 0, "budget"), "half")],
+            r"voters\[3\]\.bundles\[0\]\.budget: invalid number 'half'",
+        ),
+        ([_set(("voters", 3, "bundles", 0, "budget"), "half")], r"voters\[3\]\.bundles\[0\]\.budget: invalid number 'half'"),
+    ],
+)
+def test_a_fault_in_the_last_bundle_of_a_large_document_is_located(mutations, error):
+    """The column checks doubt the document, and the walk names the same
+    field with the same message as a walk over every record would."""
+    doc = copy.deepcopy(LARGE_DOC)
+    for mutate in mutations:
+        mutate(doc)
+    with pytest.raises(InstanceSyntaxError, match=f"^{error}$"):
+        instance_from_doc(doc)
+
+
+def test_records_of_other_mapping_and_string_types_are_read_alike():
+    """Records that are not exactly ``dict``, ``list`` and ``str`` are walked,
+    then read like the plain ones."""
+    import collections
+
+    class Name(str):
+        pass
+
+    doc = copy.deepcopy(BASE_DOC)
+    doc["voters"][1]["bundles"][0] = collections.OrderedDict(doc["voters"][1]["bundles"][0])
+    doc["voters"][0]["bundles"][2]["members"] = [Name("c4")]
+    doc["voters"][2]["name"] = Name("w")
+    assert instance_from_doc(doc) == parse_instance(json.dumps(BASE_DOC))
+
+
+def test_a_plain_document_is_read_by_columns_without_the_walk():
+    from liquidballots._documents import read_columns
+
+    read = read_columns(LARGE_DOC["voters"], LARGE_DOC["candidates"])
+    assert read is not None
+    walked = read_columns(LARGE_DOC["voters"], LARGE_DOC["candidates"], checked=True)
+    assert read[0] == walked[0]
+    for got, expected in zip(read[1], walked[1], strict=True):
+        assert_array_equal(got, expected)
+
+
+def test_writing_a_parsed_instance_builds_no_bundle_view(fixture_path):
+    for name, notion in (("crossed-ept.json", Notion.EP_T), ("crossed-epti.json", Notion.EP_TI)):
+        parsed = parse_instance((fixture_path / name).read_text())
+        text = serialize_instance(parsed)
+        assert "delegations" not in parsed.__dict__
+        assert text == reference_serialize_instance(fixtures.crossed_thresholds(notion))
+        assert serialize_instance(parse_instance(text)) == text

@@ -13,6 +13,8 @@ from liquidballots import (
     ElectionInstance,
     InvalidInstanceError,
     Notion,
+    Violation,
+    best_response,
     fixtures,
     initial_point,
     instance_from_doc,
@@ -65,6 +67,30 @@ def test_validate_clean_instances():
 def test_validate_empty_voters():
     inst = ElectionInstance(("c1",), (), ())
     assert rules(validate_instance(inst)) == {"no-voters"}
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["too-few", "too-many"])
+def test_one_delegation_row_per_voter(rows):
+    """A ``delegations`` row count other than the voter count is reported,
+    and every kernel refuses the instance instead of leaving a row unset
+    or indexing past the matrix."""
+    g_row = tuple(Bundle((c,), 0.5, "g", Notion.DIRECT) for c in ("a", "b"))
+    v_row = (Bundle(("a", "b"), 1.0, "g", Notion.EP),)
+    inst = ElectionInstance(("a", "b"), ("g", "v"), (g_row, v_row, v_row)[:rows])
+    report = validate_instance(inst)
+    assert report.violations == (
+        Violation(None, None, "delegation-rows", f"{rows} delegation rows for 2 voters"),
+    )
+    x = np.full((2, 2), 0.5)
+    for kernel in (
+        lambda: is_feasible(inst, x),
+        lambda: best_response(x, inst),
+        lambda: project_to_feasible(inst, x),
+        lambda: initial_point(inst),
+    ):
+        with pytest.raises(InvalidInstanceError) as caught:
+            kernel()
+        assert caught.value.report == report
 
 
 def test_validate_zero_weight():
