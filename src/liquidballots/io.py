@@ -206,9 +206,9 @@ def instance_from_doc(doc) -> ElectionInstance:
 
     The voter records are read a column at a time into a
     ``_columns.BundleColumns`` that the instance carries, with no
-    ``Bundle`` objects; its size records are compiled from them on first
-    use.  Records that the column checks doubt are walked field by
-    field, so that an error names the first bad field in document order.
+    ``Bundle`` objects; its plan is compiled from them on first use.
+    Records that the column checks doubt are walked field by field, so
+    that an error names the first bad field in document order.
     """
     from ._documents import read_columns  # compiled on the first parse only
 

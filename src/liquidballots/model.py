@@ -119,7 +119,7 @@ class ElectionInstance:
     column and row indices.
 
     Every instance also holds its bundles as columns, ``_columns``, and
-    compiles them once into ``_plan``, the size records that every kernel
+    compiles them once into ``_plan``, the flat record that every kernel
     reads (see ``_columns``).  An instance built in code fills its
     columns from ``delegations`` on first use; one read from a document
     (``io.instance_from_doc``) carries the columns it was read from, and
@@ -192,7 +192,7 @@ class ElectionInstance:
 
     @cached_property
     def _plan(self):
-        """The size records every kernel reads: ``_columns.compile_plan``.
+        """The flat record every kernel reads: ``_columns.compile_plan``.
 
         Raises ``InvalidInstanceError``, with the report of
         ``validate_instance``, where the bundles cannot be compiled: not
@@ -423,11 +423,9 @@ def is_feasible(instance, x, tol=1e-9) -> bool:
         return False
     if np.any(np.abs(x.sum(axis=1) - 1.0) > tol):
         return False
-    flat = x.ravel()
-    return not any(
-        np.any(np.abs(flat[size.own].sum(axis=-1, keepdims=True) - size.budget) > tol)
-        for size in instance._plan
-    )
+    bundles = instance._plan.bundles
+    sums = bundles.sum(np.append(x, -0.0))  # padded with -0.0, which adds nothing
+    return not np.any(np.abs(sums - bundles.budget) > tol)
 
 
 def project_simplex(values, total) -> np.ndarray:
@@ -443,23 +441,9 @@ def project_simplex(values, total) -> np.ndarray:
     totals = np.array([[total]], dtype=float)
     if not (np.all(np.isfinite(v)) and np.isfinite(totals[0, 0])):
         raise ValueError("projection input must be finite")
-    return _project_rows(v[None], totals)[0]
+    from ._columns import project_rows  # the plan's module, compiled on first use
 
-
-def _project_rows(values, totals) -> np.ndarray:
-    """``project_simplex`` applied to every row of ``values`` ``(B, k)``.
-
-    ``totals`` is ``(B, 1)``.  Each row is sorted in decreasing order; the
-    threshold ``theta`` comes from the last prefix whose mean excess stays
-    below its smallest member.  A non-positive total admits only 0.
-    """
-    k = values.shape[-1]
-    u = np.sort(values, axis=-1)[:, ::-1]
-    cssv = np.cumsum(u, axis=-1) - totals
-    above = u * np.arange(1, k + 1) > cssv
-    rho = k - 1 - np.argmax(above[:, ::-1], axis=-1)  # last True
-    theta = (cssv[np.arange(len(rho)), rho] / (rho + 1.0))[:, None]
-    return np.where(totals <= 0.0, 0.0, np.maximum(values - theta, 0.0))
+    return project_rows(v[None], totals, v.size - 1)[0]
 
 
 def project_to_feasible(instance, y) -> np.ndarray:
@@ -467,7 +451,8 @@ def project_to_feasible(instance, y) -> np.ndarray:
 
     Every bundle slice is projected in Euclidean distance onto the scaled
     simplex ``{z >= 0, sum(z) = budget}``.  Slices are independent of the
-    bundle's notion, so all bundles of one size are projected together.
+    bundle's notion, so all bundles of a width class of the plan are
+    projected together, padded with ``-inf`` (``_columns.Slices.project``).
     The operation is idempotent up to floating-point noise.  Its output
     passes ``is_feasible`` at the default tolerance for entries up to
     about 1e6 in size; rounding grows with the input, so larger entries
@@ -476,8 +461,4 @@ def project_to_feasible(instance, y) -> np.ndarray:
     y = _as_matrix(instance, y)
     if not np.all(np.isfinite(y)):
         raise ValueError("projection input must be finite")
-    flat = y.ravel()
-    out = np.empty(flat.shape)
-    for size in instance._plan:
-        out[size.own] = _project_rows(flat[size.own], size.budget)
-    return out.reshape(y.shape)
+    return instance._plan.bundles.project(np.append(y, -np.inf))[:-1].reshape(y.shape)

@@ -19,12 +19,15 @@ EP-TI  ``z = y`` at or above the threshold, the continuous blend
 WCC    ``z = d + weight*y`` on both sides.
 
 ``ElectionInstance._plan`` holds coefficients and fallbacks as columns,
-one record per bundle size with each kind of bundle in one slice of rows
-(``_columns.compile_plan``); no kernel here reads a notion.  ``best_response``
-costs one gather, ``_kernel`` call and scatter per bundle size, and takes
-a stack ``(..., n, m)`` in one pass, walked in blocks of about ``_BLOCK``
-gathered elements per size so that temporaries stay small.  Every slice
-sum runs along the last axis, as in a per-bundle loop.
+one flat record of every delegated bundle's cells, each kind of bundle in
+one slice of them (``_columns.compile_plan``); no kernel here reads a
+notion.  ``best_response`` is one gather, a fixed number of passes over
+the cells and one scatter per call, whatever the bundle sizes: only the
+slice sums gather the cells into rows, one gather per class of about
+eight sizes, padded with ``-0.0`` (``_columns.Slices``).  It takes a
+stack ``(..., n, m)`` in one pass, walked in blocks of about ``_BLOCK``
+gathered cells so that temporaries stay small.  Every slice sum runs as
+in a per-bundle loop: pairwise for one matrix, left to right for a stack.
 """
 
 from __future__ import annotations
@@ -35,70 +38,69 @@ import numpy as np
 
 from .model import Bundle
 
-#: Gathered elements per block of the stack axis, per bundle size.
+#: Gathered cells per block of the stack axis.
 _BLOCK = 1 << 16
 
 
-def _sum(z):
-    """``z.sum(axis=-1, keepdims=True)``, without the Python wrapper of ``ndarray.sum``."""
-    return np.add.reduce(z, axis=-1, keepdims=True)
+def _take(a, cells):
+    """The ``cells`` of one matrix's flat ``a``, or of each matrix of a stack ``(S, ...)``.
 
-
-def _gather(block, cells):
-    """The cells ``(B, k)`` of every matrix of ``block`` ``(S, n * m)``, ``(S, B, k)``.
-
-    One matrix is gathered in C order, so its slice sums are pairwise from
-    8 members on.  A stack's slices are laid out stack axis innermost, as a
-    per-bundle gather lays them out, and summed left to right.
+    ``a.T`` puts the cell axis first, which numpy indexes fastest, and
+    lays a stack's cells out stack axis innermost, as a per-bundle gather
+    does; ``a.T[cells] = v.T`` writes them back the same way.
     """
-    return block[:, cells]
+    return a.T[cells].T
 
 
-def _affine(size, y):
-    """Turn the delegates' slices ``y`` ``(..., L, k)`` into pre-images, in place.
+def _affine(plan, y):
+    """Turn the delegates' cells ``y`` ``(..., C + 1)`` into pre-images, in place.
 
-    ``shift`` rows become ``z = c*y + p*d``, ``blend`` rows ``z = y + (p +
-    q*nu)*d`` below their threshold; other rows keep ``z = y``, signed
-    zeros included.  Returns ``s``, the sums of ``z``, and the ``blend``
-    rows' flags of a support below the threshold (or ``None``).
+    ``y`` holds one matrix's cells or a stack's, ``(S, C + 1)``, and ends
+    with the pad ``-0.0``.  ``shift`` cells become ``z = c*y + p*d``,
+    ``blend`` cells ``z = y + (p + q*nu)*d`` where their slice's support
+    ``nu`` is below its threshold; other cells keep ``z = y``, signed
+    zeros included.  Returns ``s``, the slice sums of ``z`` in the order
+    of ``plan.slices``, and the ``blend`` slices' flags of a support below
+    the threshold, in the order of ``plan.blend.slices`` (or ``None``).
     """
-    if size.shift is not None:
-        z = y[..., size.shift.rows, :]
-        z *= size.shift.c
-        z += size.shift.offset
-    a, below = size.blend, None
+    if plan.shift is not None:
+        z = y[..., plan.shift.cells]
+        z *= plan.shift.c
+        z += plan.shift.offset
+    s = plan.slices.sum(y)
+    a, below = plan.blend, None
     if a is not None:
-        z = y[..., a.rows, :]
-        nu = _sum(z)
-        below = nu < a.threshold
-        blend = z + (a.p + a.q * nu) * a.default
-        np.copyto(z, blend, where=below)
-    s = _sum(y)
-    if below is not None and y.ndim > 2 and len(y) > 1 and y.shape[-1] >= 8:
-        # the blend's (..., L, 1) support lays it out in C order, so a
-        # stack sums it pairwise, as the per-bundle formula always has
-        s[..., a.rows, :] = np.where(below, _sum(blend), s[..., a.rows, :])
+        nu = _take(s, a.at)
+        below = nu < a.limit
+        z = y[..., a.cells]
+        np.copyto(z, z + _take(a.limit - nu, a.row) * a.default, where=_take(below, a.row))
+        # the per-bundle formula summed a stack's blend in C order, so
+        # pairwise from 8 members on
+        s.T[a.at] = np.where(below, a.slices.sum(y[..., a.cells.start:], c_order=True), nu).T
     return s, below
 
 
-def _kernel(size, block):
-    """Best response of a size record's live rows for every matrix of ``block``.
+def _kernel(plan, block):
+    """Best response of the plan's live cells for one matrix or a stack.
 
-    ``block`` is ``(S, n * m)``; the result is ``(S, L, k)``: each
-    pre-image rescaled to the budget, ``keep`` rows' own slices where the
-    support is not positive, ``hard`` rows' defaults below the threshold.
+    ``block`` is ``(n * m,)`` or ``(S, n * m)``; the result is ``(C,)`` or
+    ``(S, C)``: each pre-image rescaled to the budget, ``keep`` cells' own
+    values where the support is not positive, ``hard`` cells' defaults
+    below the threshold.
     """
-    y = _gather(block, size.delegate)
-    s, _ = _affine(size, y)
-    response = y / (s + (s == 0.0)) * size.scale  # divisor 1 at s == 0, with no select
-    if size.keep is not None:
+    y = _take(block, plan.gather)
+    y[..., -1] = -0.0
+    s, _ = _affine(plan, y)
+    response = y[..., :-1] / _take(s + (s == 0.0), plan.row)  # divisor 1 at s == 0, with no select
+    response *= plan.scale
+    if plan.keep is not None:
         # zero delegate support: any split is acceptable, keep the current
         # one so satisfied voters stay fixed under iteration
-        rows = size.keep.rows
-        np.copyto(response[..., rows, :], _gather(block, size.keep.own), where=~(s[..., rows, :] > 0.0))
-    if size.hard is not None:
-        rows = size.hard.rows
-        np.copyto(response[..., rows, :], size.hard.default, where=s[..., rows, :] < size.hard.threshold)
+        at = plan.keep.cells
+        np.copyto(response[..., at], _take(block, plan.keep.own), where=~(_take(s, plan.row[at]) > 0.0))
+    if plan.hard is not None:
+        at = plan.hard.cells
+        np.copyto(response[..., at], plan.hard.default, where=_take(s, plan.row[at]) < plan.hard.threshold)
     return response
 
 
@@ -135,22 +137,19 @@ def best_response(x, instance) -> np.ndarray:
         )
     if not np.isfinite(x).all():
         raise ValueError("best-response input must be finite")
+    plan = instance._plan
     stack = np.ascontiguousarray(x).reshape(-1, instance.n * instance.m)
     out = np.empty(stack.shape)
-    for size in instance._plan:
-        if size.fixed is not None:
-            out[:, size.fixed.own] = size.fixed.default
-        if not size.delegate.size:
-            continue
-        # Blocks of at least two matrices sum their slices left to right,
-        # as a per-bundle gather does (it matters from k = 8 on).
-        blocks = len(stack) // max(2, _BLOCK // size.delegate.size)
-        if blocks <= 1:
-            out[:, size.live] = _kernel(size, stack)
-            continue
-        bounds = [len(stack) * i // blocks for i in range(blocks + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            out[lo:hi, size.live] = _kernel(size, stack[lo:hi])
+    if plan.fixed is not None:
+        out.T[plan.fixed.own] = plan.fixed.default[:, None]
+    # Blocks of at least two matrices sum their slices left to right, as a
+    # per-bundle gather does (it matters from k = 8 on); a lone matrix is
+    # resolved as a vector.
+    blocks = max(1, len(stack) // max(2, _BLOCK // max(1, plan.live.size))) if plan.live.size else 0
+    for i in range(blocks):
+        lo, hi = len(stack) * i // blocks, len(stack) * (i + 1) // blocks
+        at = lo if hi - lo == 1 else slice(lo, hi)
+        out[at].T[plan.live] = _kernel(plan, stack[at]).T
     return out.reshape(x.shape)
 
 
@@ -186,12 +185,12 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
     ``2 (J_f^T r - r)`` with ``r = fx - x``.  Every bundle response is
     the rescaling ``z -> z / s * budget`` of the pre-image ``z`` that
     ``_affine`` builds from the delegate's slice ``y`` alone, so
-    ``J_f^T r`` is one gather per bundle size and one scatter-add: the
-    rescaling's vector-Jacobian product ``w = budget / s * (u - (z . u) /
-    s)``, with ``u`` the bundle's cells of ``r``, pulled back through
-    ``z(y) = c*y + (p + q*nu)*d`` as ``c*w + q*(d . w)``.  DIRECT
-    cells are constant and pull nothing back.  Each cell
-    sums its contributions in plan order, as the per-group loop did.
+    ``J_f^T r`` is one gather of the plan's cells and one scatter-add:
+    the rescaling's vector-Jacobian product ``w = budget / s * (u - (z .
+    u) / s)``, with ``u`` the bundle's cells of ``r``, pulled back through
+    ``z(y) = c*y + (p + q*nu)*d`` as ``c*w + q*(d . w)``.  DIRECT cells
+    are constant and pull nothing back.  Each cell sums its contributions
+    in plan order, as the per-group loop did.
 
     At the two kinks of the map the derivative is the one-sided one of
     the branch that ``best_response`` takes.  An EP bundle whose delegate
@@ -202,24 +201,26 @@ def _residual_gradient(x, instance, fx) -> np.ndarray:
     above.  EP-T jumps at its threshold; the caller refuses it.
     """
     r = fx - x
-    flat, residual = np.ravel(x), r.ravel()
     plan = instance._plan
-    pulled = np.empty(plan.scatter.size)  # J_f^T r, in plan order
-    for size in plan:
-        if size.hard is not None:
-            raise AssertionError("no gradient for notion EP-T")
-        y = flat[size.delegate]
-        s, below = _affine(size, y)
-        safe = s + (s == 0.0)
-        u = residual[size.live]
-        w = size.scale / safe * (u - _sum(y * u) / safe)
-        if size.shift is not None:
-            w[size.shift.rows] *= size.shift.c
-        if size.blend is not None:
-            a = size.blend
-            v = w[a.rows]
-            np.copyto(v, v + a.q * _sum(a.default * v), where=below)
-        pulled[size.rank] = w
+    if plan.hard is not None:
+        raise AssertionError("no gradient for notion EP-T")
+    y = np.ravel(x)[plan.gather]
+    y[-1] = -0.0
+    s, below = _affine(plan, y)
+    safe = s + (s == 0.0)
+    u = r.ravel()[plan.live]
+    y[:-1] *= u  # z * u, beside the pad
+    w = (plan.slices.budget / safe)[plan.row] * (u - (plan.slices.sum(y) / safe)[plan.row])
+    if plan.shift is not None:
+        w[plan.shift.cells] *= plan.shift.c
+    a = plan.blend
+    if a is not None:
+        # below the threshold v + q*(d . v), with q = -1; d * v goes beside the pad
+        v = w[a.cells]
+        np.multiply(a.default, v, out=y[a.cells])
+        np.copyto(v, v - a.slices.sum(y[a.cells.start:])[a.row], where=below[a.row])
+    pulled = np.empty(plan.live.size)  # J_f^T r, in plan order
+    pulled[plan.rank] = w
     # delegates repeat, so the scatter must accumulate
     return 2.0 * (np.bincount(plan.scatter, pulled, minlength=x.size).reshape(x.shape) - r)
 

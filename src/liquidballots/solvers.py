@@ -108,9 +108,9 @@ def initial_point(instance, mode="defaults") -> np.ndarray:
     """
     if mode not in ("defaults", "even-split"):
         raise ValueError(f"unknown initial point mode {mode!r}")
+    plan = instance._plan
     x = np.zeros(instance.n * instance.m)
-    for size in instance._plan:
-        x[size.own] = size.default if mode == "defaults" else size.budget / size.own.shape[1]
+    x[plan.own] = plan.default if mode == "defaults" else plan.even
     return x.reshape(instance.n, instance.m)
 
 
@@ -169,7 +169,7 @@ def residual_descent(instance, x0, cfg=SolverConfig()) -> SolveReport:
     EP-T bundles are refused: the loss is discontinuous there and the
     gradient step would be meaningless.
     """
-    if any(size.hard is not None for size in instance._plan):
+    if instance._plan.hard is not None:
         raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
 
     def line_search(x, fx):
@@ -441,7 +441,7 @@ def _dispatch(instance, cfg, strategy, start) -> SolveReport:
         return residual_descent(instance, x0, cfg)
 
     report = simple_iteration(instance, x0, cfg)
-    if report.status == "converged" or any(size.hard is not None for size in instance._plan):
+    if report.status == "converged" or instance._plan.hard is not None:
         return report
     follow = residual_descent(instance, report.solution, cfg)
     return replace(

@@ -115,6 +115,25 @@ def test_solve_and_verify_reproduce_their_committed_transcripts(tmp_path, fixtur
     assert capsys.readouterr().out == (fixture_path / "crossed-epti-iterate-verify.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "strategy,options,status",
+    [("iterate", [], 0), ("descent", ["--max-iters", "20"], 1)],
+)
+def test_solve_reproduces_its_committed_transcripts_on_bundles_of_every_size(
+    tmp_path, fixture_path, capsys, strategy, options, status
+):
+    """wcc-10x5.json mixes bundles of 1 to 5 members; the printed solve
+    output and the solution file of iteration (converged, status 0) and of
+    20 descent steps (max-iterations, status 1), byte for byte (the
+    continuous-integration run compares the console script's output with
+    the same files)."""
+    out = tmp_path / "solution.json"
+    instance = str(fixture_path / "wcc-10x5.json")
+    assert run_cli(["solve", instance, "--strategy", strategy, *options, "--out", str(out)]) == status
+    assert capsys.readouterr().out == (fixture_path / f"wcc-10x5-{strategy}.txt").read_text()
+    assert out.read_text() == (fixture_path / f"wcc-10x5-{strategy}-solution.json").read_text()
+
+
 def test_solve_reports_absence_of_weak_points(ept_file, capsys):
     code = run_cli(["solve", ept_file, "--max-iters", "300"])
     assert code == 1
@@ -303,7 +322,7 @@ def test_a_failure_keeps_its_status_when_stdout_is_closed(ept_file):
 
 def test_importing_the_package_stays_lean():
     """``import liquidballots`` compiles the eight eager modules and no more:
-    the columnar parse and the size view (``_columns``) and the command
+    the columnar parse and the plan (``_columns``) and the command
     line (``cli``, ``argparse``) load on first use."""
     probe = "import sys, liquidballots; print(sorted(m for m in sys.modules if m.startswith(('liquidballots', 'argparse'))))"
     done = subprocess.run(

@@ -14,8 +14,8 @@ proportional branch is inclusive).  Points within 1e-4 of a kink, but
 not on it, are skipped: there the differences straddle it.
 
 ``reference_grouped_gradient`` is the gradient as it was computed one
-(notion, size) group at a time, before the gradient read the size view;
-the size view's gradient must match it bit for bit.
+(notion, size) group at a time, before the gradient read the plan; the
+plan's gradient must match it bit for bit.
 """
 
 import dataclasses

@@ -1,8 +1,8 @@
 """The grouped bundle plan against the per-bundle loops it replaced.
 
 ``best_response``, ``project_to_feasible``, ``is_feasible`` and
-``initial_point`` run off ``ElectionInstance._plan``: one stacked record
-per bundle size, compiled from the instance's columns.
+``initial_point`` run off ``ElectionInstance._plan``: one flat record of
+every bundle's cells, compiled from the instance's columns.
 ``reference_plan`` compiles the same delegations one record per bundle,
 in voter-then-bundle order.  The loops
 below walk it one bundle at a time, as these functions did before the
@@ -23,11 +23,13 @@ those groups that the size records replaced, the projection's ``take_along_axis`
 rows the one-dimensional reference cannot, such as a row in which no
 prefix passes the threshold test.
 
-``best_response``, ``initial_point`` and the exact gradient now read the
-same size view, one notion-free kernel per bundle size.
-``reference_grouped_best_response`` keeps the per-(notion, size) loop
-they replaced, with its ``reference_preimage`` and ``reference_respond_group``,
-and the size kernel must match it bit for bit, signed zeros included.
+``best_response``, ``initial_point`` and the exact gradient read the
+same record with one notion-free kernel, as one notion-free kernel per
+bundle size did before.  ``reference_grouped_best_response`` keeps the
+per-(notion, size) loop that both replaced, with its ``reference_preimage``
+and ``reference_respond_group``, and the kernel must match it bit for
+bit, signed zeros included.  ``assert_records_match`` checks the record
+itself against the bundles.
 """
 
 import math
@@ -296,11 +298,11 @@ def reference_grouped_best_response(x, instance):
 
 
 def epti_record(budget, threshold, default):
-    """The size record of one EP-TI bundle over ``len(default)`` candidates,
+    """The plan of one EP-TI bundle over ``len(default)`` candidates,
     delegated to its own voter, with an arbitrary ``threshold``.
 
     ``compile_plan`` computes the threshold as ``1 / weight``, which not
-    every threshold is, so the record's copies are set afterwards."""
+    every threshold is, so the plan's copy is set afterwards."""
     k = len(default)
     columns = BundleColumns(
         voter=np.array([0]),
@@ -316,9 +318,8 @@ def epti_record(budget, threshold, default):
         members=[f"c{i}" for i in range(k)],
         delegates=["v"],
     )
-    (record,) = compile_plan(columns, k)
-    record.blend.threshold[...] = threshold
-    record.blend.p[...] = threshold
+    record = compile_plan(columns, k)
+    record.blend.limit[...] = threshold
     return record
 
 
@@ -576,73 +577,139 @@ def test_initial_point_matches_per_bundle_loop(seed, n, m):
         assert_array_equal(initial_point(instance, mode), reference_initial_point(instance, mode))
 
 
-#: The kinds of a size record's rows, in order, and the notion of each.
+#: The kinds of the plan's cells, in order, and the notion of each.
 KINDS = (
     ("keep", Notion.EP), ("hard", Notion.EP_T), ("shift", Notion.WCC), ("blend", Notion.EP_TI),
     ("fixed", Notion.DIRECT),
 )
 
 
-def assert_records_match(plan, source):
-    """``plan``'s size records against the bundles of ``source``.
+def slice_members(slices):
+    """The members of each slice of a ``_columns.Slices``, in the order of its sums.
 
-    One record per size covers every cell once; each row holds its own
-    bundle's numbers, each kind's rows are in bundle order, and ``rank``
-    lays the delegated cells out in the (notion, size) groups' plan order,
-    the order in which the gradient sums them.
+    The parts tile that order.  A one-member part gathers one real entry
+    per slice; a padded part gathers a slice's members and then pads,
+    which index the last entry (-1) and nothing else, and holds slices
+    of one width class: 8j to 8j + 7 members, padded to the widest.
+    """
+    members, covered = [], 0
+    for span, cells in slices.parts:
+        assert span.start == covered and span.stop - span.start == len(cells)
+        covered = span.stop
+        if cells.ndim == 1:
+            assert np.all(cells >= 0)
+            members += [(c,) for c in cells.tolist()]
+            continue
+        sizes = (cells >= 0).sum(axis=1)
+        for row, k in zip(cells, sizes):
+            assert np.all(row[:k] >= 0) and np.all(row[k:] == -1)
+            members.append(tuple(row[:k].tolist()))
+        assert sizes.min() >= 2 and sizes.max() == cells.shape[1]
+        assert len(set(np.where(sizes < 128, sizes // 8, sizes).tolist())) == 1
+    assert covered == slices.count
+    return members
+
+
+def assert_records_match(plan, source):
+    """``plan``, the one flat record, against the bundles of ``source``.
+
+    ``own`` holds every bundle's cells once, in bundle order, beside its
+    default and its even split.  The live cells are every delegated
+    bundle's cells once, kind by kind and in bundle order inside each
+    kind, each with its bundle's budget, default, threshold and weight;
+    DIRECT cells are fixed at the budget.  The slices of the live cells,
+    of the blend cells and of every bundle cover each bundle once, with
+    its budget; each cell's ``row`` names its own slice.  ``rank`` lays
+    the delegated cells out in the (notion, size) groups' plan order, the
+    order in which the gradient sums them.
     """
     m = source.m
-    assert len({size.own.shape[1] for size in plan}) == len(plan)
-    own = np.concatenate([size.own.ravel() for size in plan])
-    assert sorted(own.tolist()) == list(range(source.n * m))
-
     reference = reference_plan(source)
-    bundle_at = {cell.voter * m + cell.cols[0]: index for index, cell in enumerate(reference)}
-    for size in plan:
-        index = [bundle_at[cells[0]] for cells in size.own]
-        for row, cell in enumerate(reference[i] for i in index):
-            assert_array_equal(size.own[row], cell.voter * m + cell.cols)
-            assert size.budget[row, 0] == cell.budget
-            if cell.notion is Notion.DIRECT:
-                assert_array_equal(size.default[row], cell.budget)
-            elif cell.default is not None:
-                assert_array_equal(size.default[row], cell.default)
-            else:
-                assert_array_equal(size.default[row], cell.budget / len(cell.cols))
-        kinds = [[notion for _, notion in KINDS].index(reference[i].notion) for i in index]
-        assert kinds == sorted(kinds)  # DIRECT, the fixed rows, last
-        for position, (kind, _) in enumerate(KINDS[:4]):
-            span = [row for row, k in enumerate(kinds) if k == position]
-            record = getattr(size, kind)
-            if not span:
-                assert record is None
-                continue
-            assert record.rows == slice(span[0], span[-1] + 1)
-            in_kind = [index[row] for row in span]
-            assert in_kind == sorted(in_kind)
-            bundles = [reference[i] for i in in_kind]
-            if kind in ("hard", "blend"):
-                assert_array_equal(record.threshold[:, 0], [cell.threshold for cell in bundles])
-            if kind == "shift":
-                assert_array_equal(record.c[:, 0], [cell.weight for cell in bundles])
-        live = sum(k < 4 for k in kinds)
-        assert index[live:] == sorted(index[live:])
-        if live < len(kinds):
-            assert_array_equal(size.fixed.own, size.own[live:])
-        else:
-            assert size.fixed is None
-        assert_array_equal(size.live, size.own[:live])
-        assert_array_equal(size.scale, size.budget[:live])
+    cells = [cell.voter * m + cell.cols for cell in reference]
+    defaults = [
+        np.full(len(cell.cols), cell.budget) if cell.notion is Notion.DIRECT
+        else cell.default if cell.default is not None
+        else np.full(len(cell.cols), cell.budget / len(cell.cols))
+        for cell in reference
+    ]
+    none = np.zeros(0, dtype=int)  # for an election with no bundle of a kind
+
+    def joined(parts):
+        return np.concatenate([none, *parts])
+
+    assert_array_equal(plan.own, joined(cells))
+    assert_array_equal(plan.default, joined(defaults))
+    assert_array_equal(plan.even, joined(np.full(len(c.cols), c.budget / len(c.cols)) for c in reference))
+
+    notions = [notion for _, notion in KINDS]
+    live = sorted(
+        (i for i, cell in enumerate(reference) if cell.notion is not Notion.DIRECT),
+        key=lambda i: notions.index(reference[i].notion),
+    )
+    sizes = [len(reference[i].cols) for i in live]
+    assert_array_equal(plan.live, joined(cells[i] for i in live))
+    assert_array_equal(plan.gather[:-1], joined(reference[i].delegate * m + reference[i].cols for i in live))
+    assert_array_equal(plan.scale, joined(np.full(k, reference[i].budget) for i, k in zip(live, sizes)))
+    bounds = np.cumsum([0, *sizes])
+    for kind, notion in KINDS[:4]:
+        mine = [j for j, i in enumerate(live) if reference[i].notion is notion]
+        record = getattr(plan, kind)
+        if not mine:
+            assert record is None
+            continue
+        assert record.cells == slice(bounds[mine[0]], bounds[mine[-1] + 1])
+        bundles = [reference[live[j]] for j in mine]
+        own = [reference[live[j]].voter * m + reference[live[j]].cols for j in mine]
+        if kind == "keep":
+            assert_array_equal(record.own, joined(own))
+        if kind == "hard":
+            assert_array_equal(record.threshold, joined(np.full(len(b.cols), b.threshold) for b in bundles))
+        if kind == "shift":
+            assert_array_equal(record.c, joined(np.full(len(b.cols), b.weight) for b in bundles))
+        if kind in ("hard", "shift", "blend"):
+            got = record.offset if kind == "shift" else record.default
+            assert_array_equal(got, joined(defaults[live[j]] for j in mine))
+    fixed = [i for i, cell in enumerate(reference) if cell.notion is Notion.DIRECT]
+    if fixed:
+        assert_array_equal(plan.fixed.own, joined(cells[i] for i in fixed))
+        assert_array_equal(plan.fixed.default, joined(defaults[i] for i in fixed))
+    else:
+        assert plan.fixed is None
+
+    # the slices of the live cells, and each cell's row
+    spans = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    members = slice_members(plan.slices)
+    assert sorted(members) == sorted(spans)
+    for position, span in enumerate(members):
+        cell = reference[live[spans.index(span)]]
+        assert plan.slices.budget[position] == cell.budget and plan.slices.last[position] == len(cell.cols) - 1
+    for c, row in enumerate(plan.row.tolist()):
+        assert c in members[row]
+    # the blend slices, and where each stands among the live ones
+    if plan.blend is not None:
+        a = plan.blend
+        start = a.cells.start
+        assert a.cells.stop == len(plan.live)
+        local = slice_members(a.slices)
+        assert sorted(local) == sorted(tuple(c - start for c in span) for span in spans if span[0] >= start)
+        for j, span in enumerate(local):
+            assert members[a.at[j]] == tuple(c + start for c in span)
+            assert a.limit[j] == reference[live[spans.index(members[a.at[j]])]].threshold
+        for c, row in enumerate(a.row.tolist()):
+            assert c in local[row]
+    # the slices of every bundle, with its budget and its last member
+    bundles = slice_members(plan.bundles)
+    assert sorted(bundles) == sorted(tuple(c.tolist()) for c in cells)
+    for position, span in enumerate(bundles):
+        cell = reference[[tuple(c.tolist()) for c in cells].index(span)]
+        assert plan.bundles.budget[position] == cell.budget and plan.bundles.last[position] == len(cell.cols) - 1
 
     delegated = [g for g in reference_groups(source) if g.notion is not Notion.DIRECT]
-    none = np.zeros(0, dtype=int)  # for an election with no delegated bundle
-    own_in_plan_order = np.concatenate([none, *((g.voter * m + g.cols).ravel() for g in delegated)])
-    delegate_in_plan_order = np.concatenate([none, *((g.delegate * m + g.cols).ravel() for g in delegated)])
-    ranks = np.concatenate([size.rank.ravel() for size in plan])
-    assert sorted(ranks.tolist()) == list(range(len(own_in_plan_order)))
-    for size in plan:
-        assert_array_equal(own_in_plan_order[size.rank], size.live)
-        assert_array_equal(delegate_in_plan_order[size.rank], size.delegate)
+    own_in_plan_order = joined((g.voter * m + g.cols).ravel() for g in delegated)
+    delegate_in_plan_order = joined((g.delegate * m + g.cols).ravel() for g in delegated)
+    assert sorted(plan.rank.tolist()) == list(range(len(own_in_plan_order)))
+    assert_array_equal(own_in_plan_order[plan.rank], plan.live)
+    assert_array_equal(delegate_in_plan_order[plan.rank], plan.gather[:-1])
     assert_array_equal(plan.scatter, delegate_in_plan_order)
 
 
@@ -740,7 +807,7 @@ def test_size_kernel_matches_the_grouped_loop(seed, n, m, stack, block, signed_z
         assert_same_bits(best_response(x, instance), reference_grouped_best_response(x, source))
     for single in xs[:3]:
         assert_same_bits(best_response(single, instance), reference_grouped_best_response(single, source))
-    if columnar:  # the size records are compiled from the columns alone
+    if columnar:  # the plan is compiled from the columns alone
         assert "delegations" not in instance.__dict__
 
 
@@ -750,7 +817,8 @@ def test_size_kernel_matches_the_grouped_loop_at_every_edge(zero, copies):
     """Nine copies put 36 rows in the nine-member block, so its slices are
     summed over stacks of two and three matrices as well as singly."""
     instance = edge_instance(copies)
-    assert {size.own.shape[1] for size in instance._plan} == {1, 4, 9}
+    plan = instance._plan
+    assert [cells.shape[1:] for _, cells in plan.slices.parts] == [(), (4,), (9,)]
     rng = np.random.default_rng(5)
     for _ in range(20):
         xs = edge_matrices(rng, instance, zero)

@@ -36,6 +36,7 @@ from liquidballots import (
     trace_csv,
     validate_instance,
 )
+from liquidballots._columns import Slices
 from liquidballots.io import _format_number, _format_numbers, _number
 
 
@@ -366,11 +367,18 @@ def test_a_sound_weight_and_default_on_an_ep_bundle_are_valid():
 
 
 def record_arrays(record, prefix=""):
-    """Every array and row slice of a size record, by dotted name."""
+    """Every array, slice and number of the plan, by dotted name."""
     fields = {}
     for name, value in vars(record).items():
         if isinstance(value, SimpleNamespace):
             fields.update(record_arrays(value, f"{prefix}{name}."))
+        elif isinstance(value, Slices):
+            fields[f"{prefix}{name}.count"] = value.count
+            fields[f"{prefix}{name}.budget"] = value.budget
+            fields[f"{prefix}{name}.last"] = value.last
+            for i, (span, cells) in enumerate(value.parts):
+                fields[f"{prefix}{name}.parts[{i}]"] = (span, cells.shape)
+                fields[f"{prefix}{name}.cells[{i}]"] = cells
         else:
             fields[prefix + name] = value
     return fields
@@ -378,10 +386,10 @@ def record_arrays(record, prefix=""):
 
 def test_parsed_instances_equal_their_source_and_compile_the_same_plan():
     """Forty random elections through their documents: the parsed instance
-    equals the source, and its size records, compiled from the document's
-    columns, equal those compiled from the source's bundles, field for
-    field and bit for bit, as do the gradient's scatter lists, and they
-    match the source's bundles."""
+    equals the source, and its plan, compiled from the document's columns,
+    equals the one compiled from the source's bundles, field for field and
+    bit for bit, the gradient's scatter list included, and both match the
+    source's bundles."""
     rng = np.random.default_rng(12)
     for _ in range(40):
         inst = mixed_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
@@ -390,16 +398,14 @@ def test_parsed_instances_equal_their_source_and_compile_the_same_plan():
         assert "delegations" not in parsed.__dict__
         assert parsed == inst
         assert_records_match(plan, inst)
-        assert plan.scatter.tobytes() == inst._plan.scatter.tobytes()
-        for g, h in zip(plan, inst._plan, strict=True):
-            got, compiled = record_arrays(g), record_arrays(h)
-            assert got.keys() == compiled.keys()
-            for field, value in got.items():
-                if not isinstance(value, np.ndarray):  # a kind's row slice, or None
-                    assert value == compiled[field], field
-                    continue
-                assert value.dtype == compiled[field].dtype and value.shape == compiled[field].shape
-                assert value.tobytes() == compiled[field].tobytes(), field
+        got, compiled = record_arrays(plan), record_arrays(inst._plan)
+        assert got.keys() == compiled.keys()
+        for field, value in got.items():
+            if not isinstance(value, np.ndarray):  # a kind's slice, a count, a part's shape, or None
+                assert value == compiled[field], field
+                continue
+            assert value.dtype == compiled[field].dtype and value.shape == compiled[field].shape
+            assert value.tobytes() == compiled[field].tobytes(), field
 
 
 @settings(deadline=None, max_examples=80)
@@ -428,6 +434,37 @@ def test_column_check_agrees_with_the_walk_near_the_tolerance(seed, field, nudge
     assert parsed._columns.valid(parsed.n, parsed.m, BUDGET_TOL) == report.ok
     assert bundle_instance(doc)._columns.valid(parsed.n, parsed.m, BUDGET_TOL) == report.ok
     assert report == validate_instance(bundle_instance(doc))
+
+
+#: Shares whose numpy segment sum (``np.add.reduceat``) and ``math.fsum``
+#: fall on opposite sides of 1: the segment sum reads 1.0000000000000002
+#: where the exact sum rounds to 1.0, and 1.0 where it rounds to
+#: 0.9999999999999999.
+CROSSING_SHARES = {
+    True: (0.084, 0.589, 0.308, 0.019000000000000128),
+    False: (0.064, 0.196, 0.069, 0.214, 0.452, 0.004999999999999893),
+}
+
+
+@pytest.mark.parametrize("accepted", [True, False])
+@pytest.mark.parametrize("field", ["budget", "default"])
+def test_column_check_agrees_with_the_walk_where_rounding_crosses_the_tolerance(field, accepted):
+    """At tolerance 0 the float sum of these shares decides against the
+    walk's ``fsum``, as a voter's budgets and as a default; the column
+    check sums them again exactly and agrees."""
+    shares = CROSSING_SHARES[accepted]
+    assert (np.add.reduceat(np.array(shares), [0])[0] == 1.0) is not (math.fsum(shares) == 1.0)
+    cs = tuple(f"c{i}" for i in range(len(shares)))
+    guru = tuple(Bundle((c,), 1.0 if i == 0 else 0.0, "g", Notion.DIRECT) for i, c in enumerate(cs))
+    if field == "budget":
+        v = tuple(Bundle((c,), share, "g", Notion.EP) for c, share in zip(cs, shares))
+    else:
+        v = (Bundle(cs, 1.0, "g", Notion.WCC, 2.0, shares),)
+    inst = ElectionInstance(cs, ("g", "v"), (guru, v))
+    assert validate_instance(inst, tol=0.0).ok is accepted
+    assert inst._columns.valid(inst.n, inst.m, 0.0) is accepted
+    parsed = parse_instance(serialize_instance(inst))
+    assert parsed._columns.valid(parsed.n, parsed.m, 0.0) is accepted
 
 
 @pytest.mark.parametrize(
@@ -505,8 +542,7 @@ def test_a_subnormal_weight_compiles_to_an_infinite_threshold():
     doc = copy.deepcopy(BASE_DOC)
     doc["voters"][2]["bundles"][0]["weight"] = "5e-324"
     inst = parse_instance(json.dumps(doc))
-    (hard,) = [size.hard for size in inst._plan if size.hard is not None]
-    assert hard.threshold[0, 0] == np.inf == inst.bundles_of("w")[0].threshold
+    assert inst._plan.hard.threshold[0] == np.inf == inst.bundles_of("w")[0].threshold
 
 
 # Byte-identity referees: the writers through ``json.dumps(indent=2)``,

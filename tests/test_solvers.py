@@ -364,7 +364,7 @@ def reference_simple_iteration(instance, x0, cfg):
 
 
 def reference_residual_descent(instance, x0, cfg):
-    if any(size.hard is not None for size in instance._plan):
+    if instance._plan.hard is not None:
         raise ValueError("discontinuous notion unsupported by descent (EP-T bundle present)")
     x = np.array(x0, dtype=float)
     trajectory = []
@@ -410,7 +410,7 @@ def reference_solve(instance, cfg, strategy):
     if strategy == "descent":
         return reference_residual_descent(instance, x0, cfg)
     report = reference_simple_iteration(instance, x0, cfg)
-    if report.status == "converged" or any(size.hard is not None for size in instance._plan):
+    if report.status == "converged" or instance._plan.hard is not None:
         return report
     follow = reference_residual_descent(instance, report.solution, cfg)
     return SolveReport(
