@@ -22,6 +22,7 @@ from liquidballots import (
     InvalidInstanceError,
     Notion,
     best_response,
+    export_qcqp,
     fixtures,
     initial_point,
     instance_from_doc,
@@ -329,7 +330,9 @@ UNCOMPILABLE = [
 @pytest.mark.parametrize("rule,mutations", UNCOMPILABLE, ids=[rule for rule, _ in UNCOMPILABLE])
 def test_instances_that_cannot_be_compiled_are_refused(rule, mutations, parsed):
     """Every kernel refuses such an instance with the walk's report, before
-    any arithmetic: no stray error, no wrong cell, no numpy warning."""
+    any arithmetic: no stray error, no wrong cell, no numpy warning.  The
+    constraint export reads the same plan, so it refuses it too, rather than
+    failing on a name or printing a system with ``(* 0 ...)`` terms."""
     doc = copy.deepcopy(BASE_DOC)
     for mutate in mutations:
         mutate(doc)
@@ -343,6 +346,7 @@ def test_instances_that_cannot_be_compiled_are_refused(rule, mutations, parsed):
         lambda: is_feasible(instance, x),
         lambda: initial_point(instance),
         lambda: random_feasible_point(np.random.default_rng(0), instance),
+        lambda: export_qcqp(instance),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

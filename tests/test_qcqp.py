@@ -1,10 +1,28 @@
-"""Polynomial constraint export and numeric substitution."""
+"""Polynomial constraint export and numeric substitution.
 
+``export_qcqp`` compiles the system into arrays, one record per family,
+and ``ConstraintExport`` checks a matrix family by family with numpy.
+``reference_export_qcqp`` and ``ReferenceExport`` below are the export
+as it was before, every constraint built as an s-expression up front and
+checked by substituting the matrix into it (``reference_holds`` and
+``reference_evaluate_poly``).  They are the referee: the compiled export
+must give the same variables, constraints, text and verdicts, exactly
+and in order.
+"""
+
+import functools
 import hashlib
+import re
 from collections import Counter
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_grouped_plan import mixed_instance
+from test_width_classes import width_instance
 
 from liquidballots import (
     Bundle,
@@ -17,6 +35,214 @@ from liquidballots import (
     parse_instance,
     solve,
 )
+from liquidballots.io import _format_number
+
+
+def reference_render(node) -> str:
+    if isinstance(node, str):
+        return node
+    op, *args = node
+    return "(" + " ".join([op] + [reference_render(a) for a in args]) + ")"
+
+
+def reference_evaluate_poly(node, env):
+    if isinstance(node, str):
+        if node in env:
+            return env[node]
+        return float(Fraction(node)) if "/" in node else float(node)
+    op, *args = node
+    values = [reference_evaluate_poly(a, env) for a in args]
+    if op == "+":
+        return sum(values)
+    if op == "*":
+        out = 1.0
+        for v in values:
+            out *= v
+        return out
+    if op == "-":
+        return values[0] - values[1]
+    if op == "/":
+        return values[0] / values[1]
+    raise ValueError(f"unknown polynomial operator {op!r}")
+
+
+def reference_holds(node, env, tol) -> bool:
+    """Whether a constraint expression holds at numeric tolerance ``tol``.
+
+    Antecedents of implications are branch conditions and are evaluated
+    exactly (tolerance 0); only asserted (in)equalities get slack.
+    """
+    op = node[0]
+    if op == "and":
+        return all(reference_holds(a, env, tol) for a in node[1:])
+    if op == "or":
+        return any(reference_holds(a, env, tol) for a in node[1:])
+    if op == "=>":
+        if reference_holds(node[1], env, 0.0):
+            return reference_holds(node[2], env, tol)
+        return True
+    lhs = reference_evaluate_poly(node[1], env)
+    rhs = reference_evaluate_poly(node[2], env)
+    if op == "=":
+        return abs(lhs - rhs) <= tol
+    if op == "<=":
+        return lhs <= rhs + tol
+    if op == ">=":
+        return lhs >= rhs - tol
+    if op == "<":
+        return lhs < rhs + tol
+    raise ValueError(f"unknown constraint operator {op!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceExport:
+    """A rendered constraint system plus its structured form.
+
+    ``constraints`` pairs each assertion with a kind tag (``bound``,
+    ``row-sum``, ``bundle-sum``, ``ep``, ``wcc``, ``epti-prop``,
+    ``epti-interp``) so callers can count or filter; ``text`` is the
+    canonical s-expression document.
+    """
+
+    variables: tuple[str, ...]
+    variable_cells: dict[str, tuple[int, int]]
+    constraints: tuple[tuple[str, tuple], ...]
+    header: tuple[str, ...]
+
+    @property
+    def text(self) -> str:
+        lines = [f";; {line}" for line in self.header]
+        lines += [f"(declare-const {name} Real)" for name in self.variables]
+        lines += [f"(assert {reference_render(ast)})" for _, ast in self.constraints]
+        return "\n".join(lines) + "\n"
+
+    def _environment(self, x) -> dict:
+        x = np.asarray(x, dtype=float)
+        return {name: x[cell] for name, cell in self.variable_cells.items()}
+
+    def violations(self, x, tol=1e-6) -> list[str]:
+        """Constraints the matrix ``x`` breaks at tolerance ``tol``."""
+        env = self._environment(x)
+        return [
+            f"{kind}: {reference_render(ast)}"
+            for kind, ast in self.constraints
+            if not reference_holds(ast, env, tol)
+        ]
+
+    def satisfied_by(self, x, tol=1e-6) -> bool:
+        env = self._environment(x)
+        return all(reference_holds(ast, env, tol) for _, ast in self.constraints)
+
+
+
+def reference_export_qcqp(instance) -> ReferenceExport:
+    """Emit the polynomial constraint system of an instance.
+
+    Raises ``ValueError`` when an EP-T bundle is present.
+    """
+    slices = [
+        (vi, bundle, [instance.candidate_index[c] for c in bundle.members])
+        for vi, bundles in enumerate(instance.delegations)
+        for bundle in bundles
+    ]
+    if any(bundle.notion is Notion.EP_T for _, bundle, _ in slices):
+        raise ValueError("EP-T bundles have no continuous encoding; export refused")
+
+    def var(vi, ci):
+        return f"x_{vi}_{ci}"
+
+    header = [
+        "feasibility system for a cumulative-ballot delegation instance",
+        "x_<voter>_<candidate> is the support the voter gives the candidate",
+    ]
+    header += [f"voter {i}: {name}" for i, name in enumerate(instance.voters)]
+    header += [f"candidate {j}: {name}" for j, name in enumerate(instance.candidates)]
+
+    variables = []
+    variable_cells = {}
+    for vi in range(instance.n):
+        for ci in range(instance.m):
+            name = var(vi, ci)
+            variables.append(name)
+            variable_cells[name] = (vi, ci)
+
+    constraints: list[tuple[str, tuple]] = []
+    for name in variables:
+        constraints.append(("bound", ("and", (">=", name, "0"), ("<=", name, "1"))))
+
+    for vi in range(instance.n):
+        row = [var(vi, ci) for ci in range(instance.m)]
+        poly = row[0] if len(row) == 1 else ("+", *row)
+        constraints.append(("row-sum", ("=", poly, "1")))
+
+    for vi, bundle, cols in slices:
+        members = [var(vi, ci) for ci in cols]
+        poly = members[0] if len(members) == 1 else ("+", *members)
+        constraints.append(("bundle-sum", ("=", poly, _format_number(bundle.budget))))
+
+    for vi, bundle, cols in slices:
+        if bundle.notion is Notion.DIRECT or len(cols) < 2:
+            continue  # singleton slices are pinned by their bundle sum
+        own = [var(vi, ci) for ci in cols]
+        delegate = instance.voter_index[bundle.delegate]
+        dlg = [var(delegate, ci) for ci in cols]
+        support = ("+", *dlg)
+
+        if bundle.notion in (Notion.EP, Notion.EP_TI):  # ratio equalities, ordered pairs
+            pairs = [
+                ("=", ("*", own[a], dlg[b]), ("*", dlg[a], own[b]))
+                for a in range(len(own))
+                for b in range(len(own))
+                if a != b
+            ]
+        if bundle.notion is Notion.EP:
+            constraints += [("ep", pair) for pair in pairs]
+        elif bundle.notion is Notion.WCC:
+            w = _format_number(bundle.weight)
+            dsum = _format_number(np.sum(bundle.default))
+            norm = ("+", dsum, ("*", w, support))
+            for a in range(len(own)):
+                constraints.append(
+                    (
+                        "wcc",
+                        (
+                            "=",
+                            ("*", own[a], norm),
+                            (
+                                "*",
+                                ("+", _format_number(bundle.default[a]), ("*", w, dlg[a])),
+                                _format_number(bundle.budget),
+                            ),
+                        ),
+                    )
+                )
+        elif bundle.notion is Notion.EP_TI:
+            eps = ("/", "1", _format_number(bundle.weight))
+            constraints.append(
+                ("epti-prop", ("=>", (">=", support, eps), ("and", *pairs)))
+            )
+            slack = ("-", eps, support)
+            norm = ("+", support, ("*", slack, _format_number(bundle.budget)))
+            interp = [
+                (
+                    "=",
+                    ("*", own[a], norm),
+                    (
+                        "*",
+                        ("+", dlg[a], ("*", slack, _format_number(bundle.default[a]))),
+                        _format_number(bundle.budget),
+                    ),
+                )
+                for a in range(len(own))
+            ]
+            constraints.append(
+                ("epti-interp", ("=>", ("<", support, eps), ("and", *interp)))
+            )
+
+    return ReferenceExport(
+        tuple(variables), variable_cells, tuple(constraints), tuple(header)
+    )
+
 
 NONLINEAR_KINDS = {"ep", "wcc", "epti-prop", "epti-interp"}
 
@@ -142,3 +368,145 @@ def test_export_text_of_fixtures_is_unchanged(fixture_path, name):
         instance = load_finding(fixture_path / name).instance
     digest = hashlib.sha256(export_qcqp(instance).text.encode("utf-8")).hexdigest()
     assert digest == EXPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["crossed-epti", "wcc-10x5"])
+def test_export_of_a_parsed_file_matches_its_transcript(fixture_path, name):
+    """``liquidballots export-qcqp`` prints this text; the export reads the
+    parsed file's columns and plan and builds no ``Bundle`` view."""
+    instance = parse_instance((fixture_path / f"{name}.json").read_text())
+    text = export_qcqp(instance).text
+    assert text.encode("utf-8") == (fixture_path / f"{name}-qcqp.txt").read_bytes()
+    assert "delegations" not in instance.__dict__
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 5), (2, 3)], ids=["extra-row", "extra-column", "missing-column"])
+def test_matrix_of_the_wrong_shape_is_refused(shape):
+    export = export_qcqp(fixtures.crossed_thresholds(Notion.EP_TI))
+    for check in (export.violations, export.satisfied_by):
+        with pytest.raises(ValueError, match=re.escape(f"solution shape {shape}") + ".*2 voters, 4 candidates"):
+            check(np.full(shape, 0.25))
+
+
+def continuous(instance):
+    """``instance`` with every EP-T bundle made EP-TI, which the export takes."""
+    rows = tuple(
+        tuple(replace(b, notion=Notion.EP_TI) if b.notion is Notion.EP_T else b for b in bundles)
+        for bundles in instance.delegations
+    )
+    return ElectionInstance(instance.candidates, instance.voters, rows)
+
+
+def solved(instance):
+    cfg = SolverConfig(tolerance=1e-12, max_iterations=100)
+    return solve(instance, cfg, strategy="iterate").solution
+
+
+@functools.lru_cache(maxsize=None)
+def width_case(subnormal):
+    """The width-class election (bundles of 1 to 17 members), its reference
+    export and a solved point.  With ``subnormal`` the point is that of the
+    election without the subnormal weight, whose response is NaN."""
+    instance = continuous(width_instance(subnormal))
+    point = width_case(False)[2] if subnormal else solved(instance)
+    return instance, reference_export_qcqp(instance), point
+
+
+def edge_matrices(rng, instance, x, tol):
+    """Copies of ``x`` with entries at the edges the verdicts turn on.
+
+    A cell at ``-tol`` or ``1 + tol``; a one-member slice at its budget
+    ``± tol``; EP-TI delegate slices whose support is exactly ``1/w`` or
+    one ulp below it (the guards compare at tolerance 0); NaN and
+    infinite entries.
+    """
+    n, m = instance.n, instance.m
+    bounds = x.copy()
+    for _ in range(3):
+        bounds[rng.integers(n), rng.integers(m)] = (0.0 - tol, 1.0 + tol)[rng.integers(2)]
+    budgets = x.copy()
+    for vi, bundles in enumerate(instance.delegations):
+        for bundle in bundles:
+            if len(bundle.members) == 1 and rng.random() < 0.5:
+                budgets[vi, instance.candidate_index[bundle.members[0]]] = bundle.budget + (tol, -tol)[rng.integers(2)]
+    thresholds = [x.copy(), x.copy()]
+    for vi, bundles in enumerate(instance.delegations):
+        for bundle in bundles:
+            if bundle.notion is Notion.EP_TI and len(bundle.members) > 1 and rng.random() < 0.5:
+                row, cols = instance.voter_index[bundle.delegate], [instance.candidate_index[c] for c in bundle.members]
+                eps = 1.0 / bundle.weight
+                for y, support in zip(thresholds, (eps, np.nextafter(eps, -np.inf))):
+                    y[row, cols] = 0.0
+                    y[row, cols[rng.integers(len(cols))]] = support
+    wild = x.copy()
+    wild[rng.random((n, m)) < 0.2] = rng.choice([np.nan, np.inf, -np.inf])
+    return [bounds, budgets, *thresholds, wild]
+
+
+def edge_tolerance(reference, env, rng):
+    """``|lhs - rhs|`` of one (in)equality the reference checks at ``env``.
+
+    The (in)equality is drawn from a nonlinear constraint where there is one
+    that is not vacuous: the consequent of an implication whose antecedent
+    holds, at tolerance 0 as in ``reference_holds``.
+    """
+    live = [
+        ast for kind, ast in reference.constraints
+        if kind in NONLINEAR_KINDS and (ast[0] != "=>" or reference_holds(ast[1], env, 0.0))
+    ] or [ast for _, ast in reference.constraints]
+    ast = live[rng.integers(len(live))]
+    while ast[0] in ("and", "=>"):
+        ast = ast[2] if ast[0] == "=>" else ast[1 + rng.integers(len(ast) - 1)]
+    return abs(reference_evaluate_poly(ast[1], env) - reference_evaluate_poly(ast[2], env))
+
+
+def assert_same_system(export, reference):
+    assert export.variables == reference.variables
+    assert export.variable_cells == reference.variable_cells
+    assert export.header == reference.header
+    assert export.constraints == reference.constraints
+    assert export.text == reference.text
+
+
+@pytest.mark.parametrize("subnormal", [False, True])
+def test_export_of_the_width_classes_matches_the_reference(subnormal):
+    """Bundles of 1 to 17 members: from 8 on, ``np.sum`` of a WCC default,
+    which the text prints, is pairwise."""
+    instance, reference, _ = width_case(subnormal)
+    assert_same_system(export_qcqp(instance), reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["mixed", "mixed", "width", "subnormal"]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+)
+@example(seed=0, source="subnormal", tol=0.0)
+@example(seed=1, source="width", tol=1e-6)
+def test_export_matches_the_reference(seed, source, tol):
+    """Same variables, constraints and text as the reference, and the same
+    verdicts on random, solved, perturbed and edge matrices.  Every other
+    matrix is checked at a tolerance equal to one constraint's distance
+    instead, where a verdict turns on the last bit of that constraint's
+    arithmetic."""
+    rng = np.random.default_rng(seed)
+    if source == "mixed":
+        instance = continuous(mixed_instance(rng, int(rng.integers(1, 7)), int(rng.integers(1, 11))))
+        reference, x = reference_export_qcqp(instance), solved(instance)
+        export = export_qcqp(instance)
+        assert_same_system(export, reference)
+    else:  # the system is compared once, above
+        instance, reference, x = width_case(source == "subnormal")
+        export = export_qcqp(instance)
+    n, m = instance.n, instance.m
+    noise = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-12, -2) * (rng.random((n, m)) < 0.3)
+    probes = [rng.random((n, m)) * (rng.random((n, m)) < 0.7), x, x + noise]
+    for i, y in enumerate(probes + edge_matrices(rng, instance, x, tol)):
+        t = tol
+        if i % 2:
+            with np.errstate(all="ignore"):  # the reference's numpy scalars warn on inf - inf
+                t = edge_tolerance(reference, reference._environment(y), rng)
+        with np.errstate(all="ignore"):
+            expected = reference.violations(y, t), reference.satisfied_by(y, t)
+        assert (export.violations(y, t), export.satisfied_by(y, t)) == expected
